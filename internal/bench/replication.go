@@ -32,9 +32,10 @@ type RepStats struct {
 
 // RepBenchReport is the BENCH_replication.json schema, in the
 // BENCH_dataplane.json style: the baseline column is re-measured on the
-// same binary by setting RepBatchChunks to 1, which degrades flushBatch to
-// the seed's one-replChunk-one-replAck-per-chunk wire protocol, so the
-// ratios are hardware- and calibration-independent. Improvement factors
+// same binary by setting RepBatchChunks to 1, which makes every frame a
+// batch of one — one data frame and one replAck per chunk, event-identical
+// to the seed's per-chunk wire protocol — so the ratios are hardware- and
+// calibration-independent. Improvement factors
 // are all oriented so that bigger is better.
 type RepBenchReport struct {
 	Baseline RepStats `json:"baseline"`
@@ -65,7 +66,8 @@ const (
 
 // measureRepChain runs the fixed workload against a fresh 3-node cluster.
 // batched selects the current protocol; otherwise RepBatchChunks is pinned
-// to 1, reproducing the seed per-chunk wire path on the same binary. All
+// to 1, reproducing the seed's per-chunk wire cadence (batches of one) on
+// the same binary. All
 // numbers are simulated time, so they are deterministic across machines.
 func measureRepChain(o Options, batched bool) (RepStats, error) {
 	cfg := lineFSConfig(o, 1)
@@ -76,8 +78,8 @@ func measureRepChain(o Options, batched bool) (RepStats, error) {
 		// the sender sees a real backlog to coalesce.
 		cfg.NotifyChunks = 8
 	} else {
-		// The seed protocol on the same binary: one doorbell, one
-		// replChunk message, and one replAck round trip per chunk.
+		// The seed cadence on the same binary: one doorbell, one
+		// batch-of-one frame, and one replAck round trip per chunk.
 		cfg.RepBatchChunks = 1
 		cfg.NotifyChunks = 1
 	}

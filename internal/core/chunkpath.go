@@ -73,7 +73,7 @@ type clientState struct {
 	// The sender serializes chain transfers: stages enqueue finished chunks
 	// on xferQ in any order, xferBuf reorders them by log offset, and the
 	// sendNext cursor walks them contiguously, coalescing backlog into
-	// replChunkBatch messages (bounded by RepBatchChunks/RepBatchBytes).
+	// replChunkBatch frames (bounded by batchChunks and repBatchBytes).
 	xferQ      *sim.Queue[*chunk]
 	xferBuf    map[uint64]*chunk
 	sendNext   uint64
@@ -216,20 +216,17 @@ func (cs *clientState) runRetransmit(p *sim.Proc) {
 }
 
 // resendPending re-ships every un-replicated pending chunk, coalescing
-// contiguous runs into batches bounded like the first transmission.
+// contiguous runs into frames bounded like the first transmission.
 func (cs *clientState) resendPending(p *sim.Proc) {
 	n := cs.n
-	cfg := n.cl.Cfg
-	maxChunks := cfg.RepBatchChunks
-	if maxChunks < 1 {
-		maxChunks = 1
-	}
+	maxChunks := cs.batchChunks()
 	var run []*chunk
 	flush := func() {
 		if len(run) == 0 {
 			return
 		}
-		cs.sendRun(p, run)
+		_ = cs.sendRun(p, run)
+		n.cl.Robust.RepResends++
 		run = run[:0]
 	}
 	for _, ck := range cs.repPending {
@@ -248,41 +245,39 @@ func (cs *clientState) resendPending(p *sim.Proc) {
 	flush()
 }
 
-// sendRun ships one contiguous chunk run as a retransmission frame.
-func (cs *clientState) sendRun(p *sim.Proc, run []*chunk) {
+// repBatchBytes caps one frame's payload: a backlog flushes once its queued
+// payload reaches it.
+const repBatchBytes = 1 << 20
+
+// batchChunks is the chunk cap of one replChunkBatch frame
+// (Config.RepBatchChunks, at least 1).
+func (cs *clientState) batchChunks() int {
+	return max(cs.n.cl.Cfg.RepBatchChunks, 1)
+}
+
+// sendRun ships one contiguous chunk run to the next hop as a single
+// replChunkBatch frame — the chain's only data frame, a run of one
+// included — riding the low-latency class when any member is fsync-path.
+func (cs *clientState) sendRun(p *sim.Proc, run []*chunk) error {
 	n := cs.n
-	sync := false
+	msg := &replChunkBatch{
+		Slot: cs.slot, Epoch: n.epoch, From: run[0].from, To: run[len(run)-1].to,
+		Chunks: make([]batchChunk, len(run)),
+	}
 	wire := 0
-	for _, ck := range run {
-		if ck.sync {
-			sync = true
+	for i, ck := range run {
+		pl := payloadOf(ck)
+		wire += len(pl)
+		msg.Sync = msg.Sync || ck.sync
+		msg.Chunks[i] = batchChunk{
+			From: ck.from, To: ck.to, FirstSeq: ck.firstSeq,
+			Payload: pl, Compressed: ck.compressed,
+			RawLen: len(ck.raw), Touched: ck.touched, Sync: ck.sync,
 		}
-		wire += len(payloadOf(ck))
 	}
-	conn := n.peer(cs.chain[1], sync)
-	if len(run) == 1 {
-		ck := run[0]
-		_ = conn.Send(p, "repl-chunk", &replChunk{
-			Slot: cs.slot, From: ck.from, To: ck.to, FirstSeq: ck.firstSeq,
-			Payload: payloadOf(ck), Compressed: ck.compressed, RawLen: len(ck.raw),
-			Touched: ck.touched, Epoch: n.epoch, Sync: ck.sync,
-		}, wire)
-	} else {
-		msg := &replChunkBatch{
-			Slot: cs.slot, Epoch: n.epoch, From: run[0].from, To: run[len(run)-1].to,
-			Sync: sync, Chunks: make([]batchChunk, len(run)),
-		}
-		for i, ck := range run {
-			msg.Chunks[i] = batchChunk{
-				From: ck.from, To: ck.to, FirstSeq: ck.firstSeq,
-				Payload: payloadOf(ck), Compressed: ck.compressed,
-				RawLen: len(ck.raw), Touched: ck.touched, Sync: ck.sync,
-			}
-		}
-		_ = conn.Send(p, "repl-chunk-batch", msg, wire)
-	}
+	err := n.peer(cs.chain[1], msg.Sync).Send(p, "repl-chunk-batch", msg, wire)
 	n.RepMsgs++
-	n.cl.Robust.RepResends++
+	return err
 }
 
 func (cs *clientState) kill() {
@@ -626,18 +621,13 @@ func (cs *clientState) runSender(p *sim.Proc) {
 
 // pumpSends walks the send cursor over contiguous queued chunks, coalescing
 // them into batches (doorbell batching: one wire message per backlog burst,
-// bounded by RepBatchChunks/RepBatchBytes). Sync chunks flush immediately;
+// bounded by batchChunks and repBatchBytes). Sync chunks flush immediately;
 // the trailing partial batch flushes when the backlog runs dry, so batching
 // never adds latency — it only amortizes per-message overhead a backlog
 // would pay anyway. Invalid chunks and replica-less configurations pass
 // through without a wire message, keeping the cursor contiguous.
 func (cs *clientState) pumpSends(p *sim.Proc) {
-	cfg := cs.n.cl.Cfg
-	maxChunks := cfg.RepBatchChunks
-	if maxChunks < 1 {
-		maxChunks = 1
-	}
-	maxBytes := cfg.RepBatchBytes
+	maxChunks := cs.batchChunks()
 	for {
 		ck, ok := cs.xferBuf[cs.sendNext]
 		if !ok {
@@ -656,7 +646,7 @@ func (cs *clientState) pumpSends(p *sim.Proc) {
 		}
 		cs.batch = append(cs.batch, ck)
 		cs.batchBytes += len(payloadOf(ck))
-		if ck.sync || len(cs.batch) >= maxChunks || (maxBytes > 0 && cs.batchBytes >= maxBytes) {
+		if ck.sync || len(cs.batch) >= maxChunks || cs.batchBytes >= repBatchBytes {
 			cs.flushBatch(p)
 		}
 	}
@@ -669,51 +659,18 @@ func payloadOf(ck *chunk) []byte {
 	return ck.raw
 }
 
-// flushBatch ships the open batch down the chain as one wire message. A
-// batch of one keeps the replChunk framing (identical wire semantics; it is
-// also the seed per-chunk baseline the repbench compares against).
+// flushBatch ships the open batch down the chain as one frame.
 func (cs *clientState) flushBatch(p *sim.Proc) {
 	if len(cs.batch) == 0 {
 		return
 	}
 	n := cs.n
 	start := p.Now()
-	sync := false
-	wire := 0
 	for _, ck := range cs.batch {
-		if ck.sync {
-			sync = true
-		}
-		pl := payloadOf(ck)
-		wire += len(pl)
 		n.RepBytes += int64(len(ck.raw))
-		n.RepWireBytes += int64(len(pl))
+		n.RepWireBytes += int64(len(payloadOf(ck)))
 	}
-	conn := n.peer(cs.chain[1], sync)
-	var err error
-	if len(cs.batch) == 1 {
-		ck := cs.batch[0]
-		err = conn.Send(p, "repl-chunk", &replChunk{
-			Slot: cs.slot, From: ck.from, To: ck.to, FirstSeq: ck.firstSeq,
-			Payload: payloadOf(ck), Compressed: ck.compressed, RawLen: len(ck.raw),
-			Touched: ck.touched, Epoch: n.epoch, Sync: ck.sync,
-		}, wire)
-	} else {
-		first, last := cs.batch[0], cs.batch[len(cs.batch)-1]
-		msg := &replChunkBatch{
-			Slot: cs.slot, Epoch: n.epoch, From: first.from, To: last.to,
-			Sync: sync, Chunks: make([]batchChunk, len(cs.batch)),
-		}
-		for i, ck := range cs.batch {
-			msg.Chunks[i] = batchChunk{
-				From: ck.from, To: ck.to, FirstSeq: ck.firstSeq,
-				Payload: payloadOf(ck), Compressed: ck.compressed,
-				RawLen: len(ck.raw), Touched: ck.touched, Sync: ck.sync,
-			}
-		}
-		err = conn.Send(p, "repl-chunk-batch", msg, wire)
-	}
-	n.RepMsgs++
+	err := cs.sendRun(p, cs.batch)
 	n.RepChunksSent += int64(len(cs.batch))
 	for _, ck := range cs.batch {
 		ck.sent.Trigger(nil)
@@ -794,11 +751,6 @@ func (cs *clientState) advanceAcked(p *sim.Proc) {
 	}
 }
 
-// resweepAcks re-evaluates pending chunks after a membership change.
-func (cs *clientState) resweepAcks(p *sim.Proc) {
-	cs.advanceAcked(p)
-}
-
 // failChunk rejects a chunk: the fault is recorded for the client and the
 // chunk is routed through the sender so the send cursor stays contiguous
 // (it left the pipeline at validation and would otherwise wedge every later
@@ -838,8 +790,6 @@ func (cs *clientState) waitReplicated(p *sim.Proc, off uint64) {
 	cs.repWait = append(cs.repWait, repWaiter{off: off, ev: ev})
 	p.Wait(ev)
 }
-
-func (cs *clientState) primaryMachine() int { return cs.n.machine }
 
 // runCompletion reclaims client log space once chunks are both published
 // and replicated, in order, and recycles chunk buffers to the freelist
@@ -883,16 +833,27 @@ func (cs *clientState) runSequential(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		cs.stageFetch(p, ck)
-		if cs.stageValidate(p, ck) {
-			if cs.n.cl.Cfg.Compress {
-				cs.stageCompress(p, ck)
-			}
-			cs.stagePublish(p, ck)
-			cs.xferQ.Put(p, ck)
+		if cs.runStages(p, ck) {
 			cs.waitReplicated(p, ck.to)
 		}
 	}
+}
+
+// runStages executes one chunk's stages inline on the calling proc: fetch,
+// validate, optional compress, publish, then hand-off to the sender. It
+// reports whether the chunk validated (a rejected chunk is routed to the
+// sender by failChunk instead).
+func (cs *clientState) runStages(p *sim.Proc, ck *chunk) bool {
+	cs.stageFetch(p, ck)
+	if !cs.stageValidate(p, ck) {
+		return false
+	}
+	if cs.n.cl.Cfg.Compress {
+		cs.stageCompress(p, ck)
+	}
+	cs.stagePublish(p, ck)
+	cs.stageTransfer(p, ck)
+	return true
 }
 
 // handleFsync implements fsync(): replicate everything through Head
@@ -914,14 +875,7 @@ func (n *NICFS) handleFsync(p *sim.Proc, msg *rdma.Msg, req *fsyncReq) {
 				continue
 			}
 			ck.started = true
-			cs.stageFetch(p, ck)
-			if cs.stageValidate(p, ck) {
-				if n.cl.Cfg.Compress {
-					cs.stageCompress(p, ck)
-				}
-				cs.stagePublish(p, ck)
-				cs.xferQ.Put(p, ck)
-			}
+			cs.runStages(p, ck)
 		}
 	}
 	cs.waitReplicated(p, req.Head)

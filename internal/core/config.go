@@ -88,12 +88,10 @@ type Config struct {
 	Compress bool
 
 	// RepBatchChunks caps how many queued chunks coalesce into one
-	// replChunkBatch wire message per replica hop (1 disables batching and
-	// restores the per-chunk replChunk path); RepBatchBytes caps the batch
-	// payload size (<= 0 means unbounded). Fsync-path chunks always flush
-	// the open batch immediately.
+	// replChunkBatch frame per replica hop (values <= 1 send one frame per
+	// chunk, the -repbench baseline); a frame's payload is also capped at
+	// 1 MiB. Fsync-path chunks always flush the open batch immediately.
 	RepBatchChunks int
-	RepBatchBytes  int
 
 	// NotifyChunks is the submission-side doorbell coalescing degree: the
 	// LibFS client accumulates this many entry-aligned chunk boundaries
@@ -170,7 +168,6 @@ func DefaultConfig() Config {
 		Parallel:          true,
 		Compress:          false,
 		RepBatchChunks:    16,
-		RepBatchBytes:     1 << 20,
 		NotifyChunks:      1,
 		PubMode:           PubDMAIntrBatch,
 		HighWatermark:     0.7,

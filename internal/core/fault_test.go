@@ -77,40 +77,63 @@ func TestRetransmitDupDeliveryIdempotent(t *testing.T) {
 }
 
 // TestCorruptedFrameRejectedEndToEnd corrupts every data frame on the
-// primary->mirror link: the mirror's CRC gate must reject each one without
-// applying or acking it, the retransmit layer keeps the chunks pending, and
-// once the link heals a clean resend converges every replica.
+// primary->mirror link: the mirror must reject each one without applying
+// or acking it, the retransmit layer keeps the chunks pending, and once the
+// link heals a clean resend completes the fsync and converges every
+// replica. A raw frame is caught by the CRC gate; a compressed one fails
+// its decode or raw-length check before the CRC gate sees it.
 func TestCorruptedFrameRejectedEndToEnd(t *testing.T) {
 	t.Parallel()
-	cfg := testConfig()
-	cfg.ChunkSize = 128 << 10
-	cfg.RepRetryEvery = 10 * time.Millisecond
-	env, cl := newTestCluster(t, cfg)
-	fp := cl.InstallFaultPlane()
-	payload := bytes.Repeat([]byte{0xC2}, 384<<10)
-	run(t, env, 120*time.Second, func(p *sim.Proc) {
-		l, _ := cl.Attach(p, 0)
-		fd, _ := l.Create(p, "/crc")
-		fp.SetRule("node0", "node1", rdma.FaultRule{Corrupt: 1})
-		env.Go("heal", func(hp *sim.Proc) {
-			hp.Sleep(300 * time.Millisecond)
-			fp.ClearRules()
+	for _, tc := range []struct {
+		name     string
+		compress bool
+	}{
+		{name: "raw"},
+		{name: "compressed", compress: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.ChunkSize = 128 << 10
+			cfg.RepRetryEvery = 10 * time.Millisecond
+			cfg.Compress = tc.compress
+			env, cl := newTestCluster(t, cfg)
+			fp := cl.InstallFaultPlane()
+			payload := bytes.Repeat([]byte{0xC2}, 384<<10)
+			const healAt = 300 * time.Millisecond
+			var fsyncDone sim.Time
+			run(t, env, 120*time.Second, func(p *sim.Proc) {
+				l, _ := cl.Attach(p, 0)
+				fd, _ := l.Create(p, "/crc")
+				fp.SetRule("node0", "node1", rdma.FaultRule{Corrupt: 1})
+				env.Go("heal", func(hp *sim.Proc) {
+					hp.Sleep(healAt)
+					fp.ClearRules()
+				})
+				if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Fsync(p, fd); err != nil {
+					t.Fatalf("fsync across corrupting link: %v", err)
+				}
+				fsyncDone = p.Now()
+				p.Sleep(2 * time.Second)
+			})
+			if cl.Robust.FramesCorrupted == 0 && cl.Robust.OneSidedFaults == 0 {
+				t.Error("corruption rule never engaged")
+			}
+			if fsyncDone < sim.Time(healAt) {
+				t.Errorf("fsync completed at %v, before the link healed at %v: a corrupted frame was acked", fsyncDone, healAt)
+			}
+			if tc.compress {
+				if n0 := cl.NICs[0]; n0.RepWireBytes >= n0.RepBytes {
+					t.Errorf("compression never engaged: %d wire bytes for %d raw", n0.RepWireBytes, n0.RepBytes)
+				}
+			} else if cl.Robust.CRCRejected == 0 {
+				t.Error("mirror accepted corrupted frames; CRC gate never fired")
+			}
+			assertReplicasHold(t, cl, "/crc", payload)
 		})
-		if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Fsync(p, fd); err != nil {
-			t.Fatalf("fsync across corrupting link: %v", err)
-		}
-		p.Sleep(2 * time.Second)
-	})
-	if cl.Robust.FramesCorrupted == 0 && cl.Robust.OneSidedFaults == 0 {
-		t.Error("corruption rule never engaged")
 	}
-	if cl.Robust.CRCRejected == 0 {
-		t.Error("mirror accepted corrupted frames; CRC gate never fired")
-	}
-	assertReplicasHold(t, cl, "/crc", payload)
 }
 
 // TestPartitionStallsFsyncUntilHeal cuts the primary off its first mirror

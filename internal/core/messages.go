@@ -71,33 +71,11 @@ type touched struct {
 	Gone bool // unlinked
 }
 
-// replChunk carries one pipeline chunk down the replication chain.
-type replChunk struct {
-	Slot     int
-	From, To uint64 // log logical offsets covered
-	FirstSeq uint64
-	// Payload is the raw log bytes, possibly LZW-compressed.
-	Payload    []byte
-	Compressed bool
-	RawLen     int
-	Touched    []touched
-	Epoch      uint64
-	// Sync marks fsync-path chunks (low-latency class).
-	Sync bool
-}
-
-// CorruptCopy implements rdma.Corrupter: the fault plane's in-flight
-// bit-flip. The receiver's payload buffer is pooled on the primary and
-// shared with down-chain forwards, so the flip lands on a deep copy of the
-// payload only — framing fields stay intact, which models a payload bit
-// error the CRC gate must catch (a mangled header is caught by the framing
-// checks instead).
-func (rc *replChunk) CorruptCopy(rng *rand.Rand) any {
-	out := *rc
-	out.Payload = corruptPayload(rc.Payload, rng)
-	return &out
-}
-
+// corruptPayload is the fault plane's in-flight bit-flip on one frame's
+// payload. The payload is pooled on the primary and shared with down-chain
+// forwards, so the flip lands on a deep copy — framing fields stay intact,
+// which models a payload bit error the CRC gate must catch (a mangled
+// header is caught by the framing checks instead).
 func corruptPayload(payload []byte, rng *rand.Rand) []byte {
 	bad := make([]byte, len(payload))
 	copy(bad, payload)
@@ -107,8 +85,7 @@ func corruptPayload(payload []byte, rng *rand.Rand) []byte {
 	return bad
 }
 
-// batchChunk is one chunk's framing inside a replChunkBatch: the same
-// fields replChunk carries, minus the batch-level ones (Slot, Epoch).
+// batchChunk is one chunk's framing inside a replChunkBatch.
 type batchChunk struct {
 	From, To   uint64
 	FirstSeq   uint64
@@ -119,10 +96,12 @@ type batchChunk struct {
 	Sync       bool
 }
 
-// replChunkBatch coalesces contiguous chunks of one slot into a single wire
-// message per replica hop (doorbell batching): one message header, one
-// switch traversal, and one RPC dispatch amortize over every chunk, and the
-// receiver persists and acknowledges the whole batch at once. Chunks are
+// replChunkBatch is the replication chain's only data frame (§3.3.2,
+// Figure 3): it carries a run of one or more contiguous chunks of one slot
+// per replica hop. A backlog coalesces into one frame (doorbell batching:
+// one message header, one switch traversal, and one RPC dispatch amortize
+// over every chunk), an idle chain or an fsync sends runs of one, and the
+// receiver persists and acknowledges the whole run at once. Chunks are
 // ordered and contiguous: Chunks[0].From == From, each frame starts where
 // the previous ended, and the last ends at To.
 type replChunkBatch struct {

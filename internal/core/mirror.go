@@ -107,8 +107,6 @@ func (ms *mirrorState) putBuf(b []byte) {
 func (n *NICFS) routeMirror(p *sim.Proc, msg *rdma.Msg) {
 	var slot int
 	switch arg := msg.Arg.(type) {
-	case *replChunk:
-		slot = arg.Slot
 	case *replChunkBatch:
 		slot = arg.Slot
 	case *replDirect:
@@ -203,8 +201,6 @@ func (ms *mirrorState) run(p *sim.Proc) {
 		}
 		var from, to uint64
 		switch arg := msg.Arg.(type) {
-		case *replChunk:
-			from, to = arg.From, arg.To
 		case *replChunkBatch:
 			from, to = arg.From, arg.To
 		case *replDirect:
@@ -245,8 +241,6 @@ func (ms *mirrorState) run(p *sim.Proc) {
 			}
 			delete(pending, ms.log.Head())
 			switch arg := next.Arg.(type) {
-			case *replChunk:
-				ms.handleChunk(p, arg)
 			case *replChunkBatch:
 				ms.handleBatch(p, arg)
 			case *replDirect:
@@ -271,31 +265,20 @@ func (ms *mirrorState) dedup(p *sim.Proc, msg *rdma.Msg, to uint64) *rdma.Msg {
 	// retransmit that produced the duplicate may exist because a down-chain
 	// hop never got it (our original forward was the lost frame). Each hop
 	// dedups independently, so the repair propagates exactly as far as
-	// needed. replDirect only ever targets the last hop, so only chunk and
-	// batch frames re-forward.
-	if ms.chainPos != len(ms.chain)-1 {
-		next := ms.chain[ms.chainPos+1]
-		switch arg := msg.Arg.(type) {
-		case *replChunk:
-			n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) {
-				n.RepMsgs++
-				_ = n.peer(next, arg.Sync).Send(fp, "repl-chunk", arg, len(arg.Payload))
-			})
-		case *replChunkBatch:
-			n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) {
-				n.RepMsgs++
-				_ = n.peer(next, arg.Sync).Send(fp, "repl-chunk-batch", arg, batchWireLen(arg))
-			})
-		}
-	}
-	if to <= head {
-		return nil
-	}
+	// needed. replDirect only ever targets the last hop, so only data
+	// frames re-forward.
 	rb, ok := msg.Arg.(*replChunkBatch)
-	if !ok {
-		// A single chunk (or direct note) straddling the head would mean
-		// the primary re-chunked acknowledged bytes — chunk boundaries are
-		// stable, so this cannot happen; drop rather than corrupt.
+	if ok && ms.chainPos != len(ms.chain)-1 {
+		next := ms.chain[ms.chainPos+1]
+		n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) {
+			n.RepMsgs++
+			_ = n.peer(next, rb.Sync).Send(fp, "repl-chunk-batch", rb, batchWireLen(rb))
+		})
+	}
+	if to <= head || !ok {
+		// A direct note straddling the head would mean the primary
+		// re-chunked acknowledged bytes — chunk boundaries are stable, so
+		// this cannot happen; drop rather than corrupt.
 		return nil
 	}
 	trimmed := *rb
@@ -317,23 +300,6 @@ func (ms *mirrorState) dedup(p *sim.Proc, msg *rdma.Msg, to uint64) *rdma.Msg {
 // errBatchFrame rejects a replication frame whose decoded length does not
 // match its declared raw length.
 var errBatchFrame = errors.New("core: replication frame length mismatch")
-
-// decompressPayload expands a compressed chunk payload into dst (a pooled
-// mirror buffer) and verifies the declared raw length. Pure codec work;
-// the caller charges the virtual-time cost.
-//
-//linefs:hotpath
-func decompressPayload(dec *compress.Decoder, dst, payload []byte, rawLen int) ([]byte, error) {
-	//lint:allow scratchflow the grown buffer is returned to the caller, which stores it back
-	out, err := dec.DecompressInto(dst[:0], payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(out) != rawLen {
-		return nil, errBatchFrame
-	}
-	return out, nil
-}
 
 // decodeBatchChunk places one batch frame's raw bytes into dst, which the
 // caller sizes (and capacity-pins) to the declared raw length: a corrupt
@@ -363,88 +329,11 @@ func decodeBatchChunk(dec *compress.Decoder, dst []byte, bc *batchChunk) error {
 	return nil
 }
 
-// handleChunk is steps 4–7 of Figure 3: forward to the next hop (in
-// parallel with the local copy), persist the chunk into the local PM log
-// mirror, acknowledge the primary, and publish locally.
-func (ms *mirrorState) handleChunk(p *sim.Proc, rc *replChunk) {
-	n := ms.n
-	cl := n.cl
-
-	raw := ms.getBuf(rc.RawLen)
-	if rc.Compressed {
-		// Decompression on the wimpy cores (reads are cheaper than the
-		// compression side; charge at 2x the compression bandwidth).
-		out, err := decompressPayload(&ms.dec, raw, rc.Payload, rc.RawLen)
-		if err != nil {
-			ms.putBuf(raw)
-			return // corrupt transfer: never acknowledged
-		}
-		raw = out
-		n.nicCompute(p, time.Duration(float64(rc.RawLen)/(2*cl.Cfg.Spec.CompressBW)*float64(time.Second)))
-	} else {
-		if len(rc.Payload) != rc.RawLen {
-			ms.putBuf(raw)
-			return
-		}
-		copy(raw, rc.Payload)
-	}
-
-	// Integrity gate: a frame corrupted in flight must be rejected before it
-	// is forwarded, persisted, or acknowledged — the primary's retransmit
-	// layer resends it; an ack here would mark garbage durable.
-	if err := fs.VerifyWire(raw); err != nil {
-		n.cl.Robust.CRCRejected++
-		ms.putBuf(raw)
-		return
-	}
-
-	// Merge namespace history for epoch recovery.
-	n.recordHistory(rc.Epoch, rc.Touched)
-
-	// Forward down the chain asynchronously: the next hop's work overlaps
-	// both our local persist and later chunks' forwards (steps 4 and 5 of
-	// Figure 3 pipeline across chunks). Ordering needs no serialization —
-	// one-sided writes are offset-addressed and every mirror reorders
-	// message arrivals by log offset. The forward carries the message's
-	// original payload (primary-owned until the whole chain acks, so safe
-	// down-chain — unlike our pooled copy); compressed chunks stay
-	// compressed on the wire for every hop (the bandwidth saving is the
-	// point), which forgoes the last-hop direct write: raw bytes cannot be
-	// placed one-sided without a decompression stop at the last NICFS.
-	if ms.chainPos != len(ms.chain)-1 {
-		next := ms.chain[ms.chainPos+1]
-		nextIsLast := ms.chainPos+1 == len(ms.chain)-1 && !cl.Cfg.DisableDirectWrite && !rc.Compressed
-		cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) {
-			if nextIsLast {
-				ms.forwardDirect(fp, next, rc)
-			} else {
-				n.RepMsgs++
-				_ = n.peer(next, rc.Sync).Send(fp, "repl-chunk", rc, len(rc.Payload))
-			}
-		})
-	}
-
-	// Persist the chunk into the local PM log mirror. The hold's initial
-	// reference belongs to the publication pipeline and is released by the
-	// publisher once its own kernel-worker handoff resolves.
-	hold := ms.newHold(raw)
-	ms.persistRaw(p, rc.From, raw, hold)
-
-	// Acknowledge the primary: everything through To is durable here. Acks
-	// are latency-critical and ride the low-latency class (§3.3.2).
-	primary := ms.chain[0]
-	_ = n.peer(primary, true).Send(p, "repl-ack",
-		&replAck{Slot: rc.Slot, To: rc.To, Node: n.Name()}, 24)
-
-	// Publish locally in the background so the replica's public area keeps
-	// up and the mirror ring can be reclaimed.
-	ms.pubQ.Put(p, pubJob{raw: raw, from: rc.From, to: rc.To, hold: hold})
-}
-
-// handleBatch persists a whole replChunkBatch with one pass: every frame
-// decodes into one contiguous mirror buffer, one persist covers the batch
-// range, one cumulative ack reports To, and one background publication job
-// applies all entries.
+// handleBatch is steps 4–7 of Figure 3 for one replChunkBatch: decode
+// every frame into one contiguous mirror buffer, forward down the chain (in
+// parallel with the local copy), persist the range into the local PM log
+// mirror, send one cumulative ack for To, and publish locally in the
+// background.
 func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 	n := ms.n
 	cl := n.cl
@@ -465,13 +354,18 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 			ms.putBuf(raw)
 			return // corrupt transfer: never acknowledged
 		}
-		// Per-frame integrity gate (see handleChunk).
+		// Per-frame integrity gate: a frame corrupted in flight must be
+		// rejected before it is forwarded, persisted, or acknowledged — the
+		// primary's retransmit layer resends it; an ack here would mark
+		// garbage durable.
 		if err := fs.VerifyWire(raw[off : off+bc.RawLen]); err != nil {
 			n.cl.Robust.CRCRejected++
 			ms.putBuf(raw)
 			return
 		}
 		if bc.Compressed {
+			// Decompression on the wimpy cores (reads are cheaper than the
+			// compression side; charge at 2x the compression bandwidth).
 			allRaw = false
 			n.nicCompute(p, time.Duration(float64(bc.RawLen)/(2*cl.Cfg.Spec.CompressBW)*float64(time.Second)))
 		}
@@ -483,9 +377,16 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 		n.recordHistory(rb.Epoch, rb.Chunks[i].Touched)
 	}
 
-	// Forward the whole batch down-chain as one message (or one-sided
-	// writes plus one note on the last hop), carrying the original
-	// primary-owned payloads.
+	// Forward the whole batch down-chain asynchronously as one message (or
+	// one-sided writes plus one note on the last hop): the next hop's work
+	// overlaps both our local persist and later batches' forwards (steps 4
+	// and 5 of Figure 3 pipeline across chunks). Ordering needs no
+	// serialization — one-sided writes are offset-addressed and every
+	// mirror reorders arrivals by log offset. The forward carries the
+	// original primary-owned payloads (alive until the whole chain acks,
+	// unlike our pooled copy); compressed frames stay compressed on every
+	// hop, which forgoes the last-hop direct write: raw bytes cannot be
+	// placed one-sided without a decompression stop at the last NICFS.
 	if ms.chainPos != len(ms.chain)-1 {
 		next := ms.chain[ms.chainPos+1]
 		nextIsLast := ms.chainPos+1 == len(ms.chain)-1 && !cl.Cfg.DisableDirectWrite && allRaw
@@ -499,10 +400,14 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 		})
 	}
 
+	// The hold's initial reference belongs to the publication pipeline and
+	// is released by the publisher once its own kernel-worker handoff
+	// resolves.
 	hold := ms.newHold(raw)
 	ms.persistRaw(p, rb.From, raw, hold)
 
-	// One cumulative acknowledgment covers every chunk in the batch.
+	// One cumulative acknowledgment covers every chunk in the batch. Acks
+	// are latency-critical and ride the low-latency class (§3.3.2).
 	primary := ms.chain[0]
 	_ = n.peer(primary, true).Send(p, "repl-ack",
 		&replAck{Slot: rb.Slot, To: rb.To, Node: n.Name()}, 24)
@@ -526,38 +431,11 @@ func batchWireLen(rb *replChunkBatch) int {
 	return total
 }
 
-// forwardDirect implements the §3.3.2 step-6 optimization: the penultimate
-// replica writes the chunk straight into the last replica's host PM log
-// with a one-sided RDMA WRITE, then sends a small notification — saving a
-// SmartNIC memory copy on the last hop.
-func (ms *mirrorState) forwardDirect(p *sim.Proc, next int, rc *replChunk) {
-	n := ms.n
-	cl := n.cl
-	lastLog := fs.NewLogView(cl.logBase(rc.Slot), cl.Cfg.LogSize)
-	conn := n.peer(next, rc.Sync)
-	off := 0
-	for _, seg := range lastLog.SegmentsAt(rc.From, len(rc.Payload)) {
-		if err := conn.RDMAWrite(p, "pm", seg.PhysOff, rc.Payload[off:off+seg.Len]); err != nil {
-			// Fall back to the message path.
-			n.RepMsgs++
-			_ = conn.Send(p, "repl-chunk", rc, len(rc.Payload))
-			return
-		}
-		off += seg.Len
-	}
-	note := &replDirect{
-		Slot: rc.Slot, From: rc.From, To: rc.To, FirstSeq: rc.FirstSeq,
-		RawLen: rc.RawLen, Touched: rc.Touched, Epoch: rc.Epoch,
-	}
-	// The notification follows the one-sided data on the low-latency
-	// class: it must not queue behind other bulk transfers.
-	n.RepMsgs++
-	_ = n.peer(next, true).Send(p, "repl-direct", note, 64)
-}
-
-// forwardBatchDirect is the batch form of the last-hop optimization: every
-// chunk's payload is RDMA-written into the last replica's PM log, then one
-// notification covers the whole batch range.
+// forwardBatchDirect implements the §3.3.2 step-6 optimization: the
+// penultimate replica writes every chunk's payload straight into the last
+// replica's host PM log with one-sided RDMA WRITEs, then sends one small
+// notification covering the batch range — saving a SmartNIC memory copy on
+// the last hop.
 func (ms *mirrorState) forwardBatchDirect(p *sim.Proc, next int, rb *replChunkBatch) {
 	n := ms.n
 	cl := n.cl
@@ -585,6 +463,8 @@ func (ms *mirrorState) forwardBatchDirect(p *sim.Proc, next int, rb *replChunkBa
 		Slot: rb.Slot, From: rb.From, To: rb.To, FirstSeq: rb.Chunks[0].FirstSeq,
 		RawLen: int(rb.To - rb.From), Touched: touchedAll, Epoch: rb.Epoch,
 	}
+	// The notification follows the one-sided data on the low-latency
+	// class: it must not queue behind other bulk transfers.
 	n.RepMsgs++
 	_ = n.peer(next, true).Send(p, "repl-direct", note, 64)
 }

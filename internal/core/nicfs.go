@@ -73,11 +73,11 @@ type NICFS struct {
 	RepBytes       int64
 	RepWireBytes   int64
 	CoalescedBytes int64
-	// RepMsgs counts replication data messages sent by this node (chunk,
-	// batch, and direct-write notes); RepChunksSent counts chunks entering
-	// the chain here as primary; AckMsgs counts ack messages received;
-	// StaleAcks counts acks that named an unknown slot or node or did not
-	// advance a watermark.
+	// RepMsgs counts replication data messages sent by this node
+	// (replChunkBatch frames and direct-write notes); RepChunksSent counts
+	// chunks entering the chain here as primary; AckMsgs counts ack
+	// messages received; StaleAcks counts acks that named an unknown slot
+	// or node or did not advance a watermark.
 	RepMsgs       int64
 	RepChunksSent int64
 	AckMsgs       int64
@@ -167,7 +167,7 @@ func (n *NICFS) PeerDown(p *sim.Proc, name string) {
 	// reconfigured chain. Slots are visited in order: resweeps emit
 	// completion events, so the sweep sequence must be deterministic.
 	for _, slot := range n.clientSlots() {
-		n.clients[slot].resweepAcks(p)
+		n.clients[slot].advanceAcked(p)
 	}
 }
 
@@ -257,7 +257,7 @@ func (n *NICFS) runLowLat(p *sim.Proc) {
 			n.cl.Env.Go(n.Name()+"/fsync", func(hp *sim.Proc) {
 				n.handleFsync(hp, msg, req)
 			})
-		case "repl-chunk", "repl-chunk-batch", "repl-direct":
+		case "repl-chunk-batch", "repl-direct":
 			// Sync-path replication arrives on the low-latency class.
 			n.routeMirror(p, msg)
 		case "repl-ack":
@@ -290,7 +290,7 @@ func (n *NICFS) runBulk(p *sim.Proc) {
 				}
 				cs.formChunks(p, req.Head, false)
 			}
-		case "repl-chunk", "repl-chunk-batch", "repl-direct":
+		case "repl-chunk-batch", "repl-direct":
 			n.routeMirror(p, msg)
 		case "repl-ack":
 			n.handleReplAck(p, msg.Arg.(*replAck))

@@ -43,10 +43,9 @@ var wireFuncs = map[string]map[string]bool{
 		"DecompressInto": true,
 	},
 	"internal/core": {
-		// Replication batch decode entry points: a frame that fails to decode
+		// Replication frame decode entry point: a frame that fails to decode
 		// must never be persisted or acknowledged.
-		"decodeBatchChunk":  true,
-		"decompressPayload": true,
+		"decodeBatchChunk": true,
 	},
 }
 
