@@ -6,7 +6,7 @@ GO ?= go
 
 .PHONY: ci vet build lint lint-fix-list test-short test race selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos chaos-smoke clean
 
-ci: vet build lint test-short race selfcheck databench-smoke repbench-smoke chaos-smoke
+ci: vet build lint test race selfcheck databench-smoke repbench-smoke chaos-smoke
 
 vet:
 	$(GO) vet ./...
@@ -40,11 +40,13 @@ race:
 	$(GO) test -race -short ./...
 
 # Runtime determinism gate (DESIGN.md §8): run every experiment twice with
-# the sim-sanitizer enabled and fail on digest or output divergence.
+# the sim-sanitizer enabled and fail on digest or output divergence. One
+# run at a time: the largest experiments peak above 4 GB each, and -j N
+# would run both copies of one experiment side by side.
 selfcheck:
-	$(GO) run ./cmd/linefs-bench -selfcheck -exp all
+	$(GO) run ./cmd/linefs-bench -selfcheck -exp all -j 1
 
-# Full suite (what the roadmap calls tier-1).
+# Full suite (what the roadmap calls tier-1; part of ci).
 test:
 	$(GO) test ./...
 

@@ -28,7 +28,9 @@ func main() {
 	mk := func() (*check.Target, error) {
 		switch *system {
 		case "linefs":
-			return check.NewLineFSTarget(*seed)
+			return check.NewLineFSTarget(*seed, true)
+		case "linefs-np":
+			return check.NewLineFSTarget(*seed, false)
 		case "assise":
 			return check.NewAssiseTarget(*seed, assise.Pessimistic)
 		case "assise-bg":

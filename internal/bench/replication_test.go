@@ -11,9 +11,10 @@ import (
 // >= 4x in wire messages per chunk, without regressing fsync latency
 // beyond noise, and the pooled hot path must not allocate. The simulated
 // columns are deterministic, so a re-measure of the baseline must
-// reproduce it bit for bit.
+// reproduce it bit for bit. It is not parallel: the allocation window
+// reads process-global runtime.MemStats, so a parallel sibling's
+// allocations would land in it.
 func TestRepBenchAcceptance(t *testing.T) {
-	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs two full chain workloads")
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestGenericSuiteOnLineFS(t *testing.T) {
 	t.Parallel()
-	mk := func() (*Target, error) { return NewLineFSTarget(1) }
+	mk := func() (*Target, error) { return NewLineFSTarget(1, true) }
 	for _, c := range append(Generic(), genericExtra...) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
@@ -24,8 +24,23 @@ func TestGenericSuiteOnLineFS(t *testing.T) {
 
 func TestCrashSuiteOnLineFS(t *testing.T) {
 	t.Parallel()
-	mk := func() (*Target, error) { return NewLineFSTarget(1) }
+	mk := func() (*Target, error) { return NewLineFSTarget(1, true) }
 	for _, c := range CrashCases() {
+		c := c
+		t.Run(c.Name, func(t *testing.T) {
+			if err := RunCase(mk, c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSuitesOnLineFSNonParallel runs both suites on the sequential data
+// path (linefs-check -system linefs-np).
+func TestSuitesOnLineFSNonParallel(t *testing.T) {
+	t.Parallel()
+	mk := func() (*Target, error) { return NewLineFSTarget(1, false) }
+	for _, c := range append(append(Generic(), genericExtra...), CrashCases()...) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			if err := RunCase(mk, c); err != nil {

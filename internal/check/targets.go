@@ -10,14 +10,16 @@ import (
 	"linefs/internal/sim"
 )
 
-// NewLineFSTarget builds a fresh LineFS cluster target.
+// NewLineFSTarget builds a fresh LineFS cluster target; parallel selects
+// the pipelined NICFS data path (false runs the stages sequentially, the
+// paper's LineFS-NP ablation).
 //
 // Sizes are deliberately small: the check cases are correctness tests that
 // write at most ~16 MB, and every case builds (and tears down) a fresh
-// three-machine cluster, so PM array size directly dominates suite runtime
-// (page-fault and zeroing cost, not simulation work).
-func NewLineFSTarget(seed int64) (*Target, error) {
+// three-machine cluster.
+func NewLineFSTarget(seed int64, parallel bool) (*Target, error) {
 	cfg := core.DefaultConfig()
+	cfg.Parallel = parallel
 	cfg.Spec.PMSize = 256 << 20
 	cfg.VolSize = 128 << 20
 	cfg.LogSize = 24 << 20

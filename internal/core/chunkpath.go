@@ -561,8 +561,6 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 	cp := func(dst int64, src []byte) {
 		items = append(items, copyItem{Dst: dst, Data: src})
 	}
-	metaStart := p.Now()
-	defer func() { n.stageAdd("pub-meta", time.Duration(p.Now()-metaStart)) }()
 	if err := n.vol.ApplyAll(ctx, ck.entries, cp); err != nil {
 		// Publication cannot proceed (e.g. the public area is out of
 		// space). Record the fault and unblock waiters; the client sees an
@@ -582,13 +580,11 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 	if len(items) == 0 {
 		return
 	}
-	copyStart := p.Now()
 	if n.publishItems(p, items, nil) {
 		// The timed-out kernel worker may still read these item buffers,
 		// which alias ck.raw: leak the chunk instead of recycling it.
 		ck.retained = true
 	}
-	n.stageAdd("pub-copy", time.Duration(p.Now()-copyStart))
 }
 
 // stageTransfer hands the chunk to the sender, which restores log order and
@@ -800,13 +796,9 @@ func (cs *clientState) runCompletion(p *sim.Proc) {
 			p.Wait(cs.compKick)
 		}
 		ck := cs.pending[0]
-		t0 := p.Now()
 		p.Wait(ck.published)
-		t1 := p.Now()
 		p.Wait(ck.replicated)
 		p.Wait(ck.sent)
-		cs.n.stageAdd("wait-pub", time.Duration(t1-t0))
-		cs.n.stageAdd("wait-rep", time.Duration(p.Now()-t1))
 		cs.pending[0] = nil
 		cs.pending = cs.pending[1:]
 		if ck.memHeld > 0 {

@@ -127,14 +127,10 @@ type Config struct {
 	// worker failure detector.
 	HeartbeatEvery time.Duration
 
-	// DownAfterProbes is the cluster manager's hysteresis: a member is
-	// declared down only after this many consecutive missed probes, so a
-	// single delayed probe does not bump the epoch and reshape every chain
-	// (<= 0 keeps the manager default).
-	DownAfterProbes int
-	// DetectorMisses is the same hysteresis for the NICFS->kernel-worker
-	// detector's isolated-mode flip (<= 0 means 1: flip on the first miss,
-	// the seed behavior — Figure 10's recovery timeline depends on it).
+	// DetectorMisses is the hysteresis of the NICFS->kernel-worker
+	// detector's isolated-mode flip, the counterpart of the cluster
+	// manager's DownAfter (<= 0 means 1: flip on the first miss, the seed
+	// behavior — Figure 10's recovery timeline depends on it).
 	DetectorMisses int
 
 	// RepRetryEvery enables replication retransmission: chunks that sit in
@@ -174,7 +170,6 @@ func DefaultConfig() Config {
 		LowWatermark:      0.3,
 		LeaseTTL:          time.Second,
 		HeartbeatEvery:    time.Second,
-		DownAfterProbes:   3,
 		DetectorMisses:    1,
 		InodesPerVol:      65536,
 		InoRangePerClient: 4096,

@@ -115,8 +115,7 @@ func (kw *KWorker) serveCopy(p *sim.Proc, req *copyReq) {
 
 	place := func() {
 		for _, it := range req.Items {
-			m.PM.WriteNoCost(it.Dst, it.Data)
-			m.PM.PersistNoCost(it.Dst, int64(len(it.Data)))
+			m.PM.WritePersistNoCost(it.Dst, it.Data)
 		}
 	}
 

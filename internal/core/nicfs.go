@@ -82,7 +82,9 @@ type NICFS struct {
 	RepChunksSent int64
 	AckMsgs       int64
 	StaleAcks     int64
-	StageTimes    map[string]*timeAvg
+	// StageTimes holds the mean service time of Figure 2's five named
+	// stages: fetch, validate, publish, transfer and ack.
+	StageTimes map[string]*timeAvg
 }
 
 // timeAvg accumulates a mean duration.
@@ -92,16 +94,6 @@ type timeAvg struct {
 }
 
 func (t *timeAvg) add(d time.Duration) { t.Total += d; t.N++ }
-
-// stageAdd accumulates into a named stage timer, creating it on demand.
-func (n *NICFS) stageAdd(name string, d time.Duration) {
-	ta, ok := n.StageTimes[name]
-	if !ok {
-		ta = &timeAvg{}
-		n.StageTimes[name] = ta
-	}
-	ta.add(d)
-}
 
 // Mean returns the average accumulated duration.
 func (t *timeAvg) Mean() time.Duration {

@@ -60,8 +60,7 @@ func (c *Ctx) Read(off int64, dst []byte) {
 // persistence-critical path flush eagerly).
 func (c *Ctx) Write(off int64, src []byte) {
 	if c.NoCost || c.P == nil {
-		c.PM.WriteNoCost(off, src)
-		c.PM.PersistNoCost(off, int64(len(src)))
+		c.PM.WritePersistNoCost(off, src)
 		return
 	}
 	// PCIe writes are posted and tiny (metadata write-back from the NIC

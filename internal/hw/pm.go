@@ -2,7 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"linefs/internal/sim"
@@ -12,16 +11,16 @@ import (
 // App-Direct mode). It stores real bytes and distinguishes written from
 // persisted state: writes land in a volatile view and become durable only
 // after a Persist barrier (clwb+fence in the real system). Crash discards
-// the volatile view, which lets tests exercise prefix crash consistency for
-// real.
+// the unpersisted writes, which lets tests exercise prefix crash
+// consistency for real.
 //
-// The two states are kept as full mirrored arrays: shadow is what programs
-// read (durable bytes plus unpersisted stores, written copy-in-place) and
-// data holds only persisted bytes. A sorted, coalesced span list records
-// where the two may differ. Writes therefore cost one memcpy and no
-// allocation — the seed kept a list of per-write buffer copies instead,
-// which made WriteNoCost the hottest allocation site in write-heavy
-// experiments and every read walk the whole list.
+// One byte store holds what programs read, in 64 KiB pages allocated on
+// first write (an unwritten page reads as zeros), so memory scales with the
+// bytes written, not with the device size. Each unpersisted write keeps an
+// undo record: the bytes it overwrote, in a recycled buffer. Persist drops
+// the parts of the records inside its window; Crash writes the remaining
+// records back newest first, which leaves every byte at its durable value
+// (the pre-image held by the oldest record covering it).
 //
 // Access costs are charged in virtual time: a fixed media latency per
 // operation plus serialization through the device's shared bandwidth link.
@@ -29,19 +28,25 @@ type PM struct {
 	Env  *sim.Env
 	Name string
 
-	data   []byte   // persisted bytes only
-	shadow []byte   // persisted + unpersisted writes (what reads observe)
-	dirty  []pmSpan // sorted non-overlapping spans where shadow may differ
-	spare  []pmSpan // scratch for persist-time span rebuilds
+	size  int64
+	pages [][]byte // pmPageSize bytes each; nil until first written
+	undo  []pmUndo // pre-images of unpersisted writes, oldest first
+	spare []pmUndo // scratch for persist-time rebuilds
+	free  [][]byte // recycled pre-image buffers
 
 	ReadLat  time.Duration
 	WriteLat time.Duration
 	link     *Link
 }
 
-// pmSpan is a half-open byte range [off, end).
-type pmSpan struct {
-	off, end int64
+// pmPageSize is the granularity at which the byte store is allocated.
+const pmPageSize = 64 << 10
+
+// pmUndo records that the bytes at [off, off+len(pre)) held pre before an
+// unpersisted write.
+type pmUndo struct {
+	off int64
+	pre []byte
 }
 
 // PMConfig sets PM device parameters.
@@ -73,13 +78,13 @@ func newPMLink(env *sim.Env, name string, bw float64) *Link {
 	return l
 }
 
-// NewPM creates a PM device.
+// NewPM creates a PM device. Only the page table is allocated up front.
 func NewPM(env *sim.Env, name string, cfg PMConfig) *PM {
 	return &PM{
 		Env:      env,
 		Name:     name,
-		data:     make([]byte, cfg.Size),
-		shadow:   make([]byte, cfg.Size),
+		size:     cfg.Size,
+		pages:    make([][]byte, (cfg.Size+pmPageSize-1)/pmPageSize),
 		ReadLat:  cfg.ReadLat,
 		WriteLat: cfg.WriteLat,
 		link:     newPMLink(env, name, cfg.Bandwidth),
@@ -87,16 +92,16 @@ func NewPM(env *sim.Env, name string, cfg PMConfig) *PM {
 }
 
 // Size returns the device capacity in bytes.
-func (pm *PM) Size() int64 { return int64(len(pm.data)) }
+func (pm *PM) Size() int64 { return pm.size }
 
 // Link exposes the device bandwidth link so co-located engines (DMA) can
 // share it.
 func (pm *PM) Link() *Link { return pm.link }
 
 func (pm *PM) check(off int64, n int) {
-	if off < 0 || off+int64(n) > int64(len(pm.data)) {
+	if off < 0 || off+int64(n) > pm.size {
 		panic(fmt.Sprintf("hw: PM %s access out of range: off=%d n=%d size=%d",
-			pm.Name, off, n, len(pm.data)))
+			pm.Name, off, n, pm.size))
 	}
 }
 
@@ -114,10 +119,33 @@ func (pm *PM) Read(p *sim.Proc, off int64, dst []byte) {
 //linefs:hotpath
 func (pm *PM) ReadNoCost(off int64, dst []byte) {
 	pm.check(off, len(dst))
-	copy(dst, pm.shadow[off:])
+	for len(dst) > 0 {
+		pg, o := pm.pages[off/pmPageSize], off%pmPageSize
+		n := min(len(dst), int(pmPageSize-o))
+		if pg == nil {
+			clear(dst[:n])
+		} else {
+			copy(dst, pg[o:])
+		}
+		dst, off = dst[n:], off+int64(n)
+	}
 }
 
-// Write stores src at off into the volatile overlay, charging media latency
+// store copies src into the byte store at off, allocating pages on first
+// touch.
+func (pm *PM) store(off int64, src []byte) {
+	for len(src) > 0 {
+		pg := pm.pages[off/pmPageSize]
+		if pg == nil {
+			pg = make([]byte, pmPageSize)
+			pm.pages[off/pmPageSize] = pg
+		}
+		n := copy(pg[off%pmPageSize:], src)
+		src, off = src[n:], off+int64(n)
+	}
+}
+
+// Write stores src at off into the volatile view, charging media latency
 // and bandwidth. Data becomes durable only after Persist covers it.
 func (pm *PM) Write(p *sim.Proc, off int64, src []byte) {
 	pm.WriteAmp(p, off, src, 1)
@@ -136,54 +164,29 @@ func (pm *PM) WriteAmp(p *sim.Proc, off int64, src []byte, amp int) {
 	pm.WriteNoCost(off, src)
 }
 
-// WriteNoCost stores bytes without charging time: one copy into the shadow
-// view plus a span-list update, no allocation (src is not retained).
+// WriteNoCost stores bytes without charging time: the overwritten bytes go
+// into a recycled undo buffer, then src is copied in (src is not retained).
 //
 //linefs:hotpath
 func (pm *PM) WriteNoCost(off int64, src []byte) {
 	pm.check(off, len(src))
-	copy(pm.shadow[off:], src)
-	pm.markDirty(off, off+int64(len(src)))
+	pre := pm.preBuf(len(src))
+	pm.ReadNoCost(off, pre)
+	pm.undo = append(pm.undo, pmUndo{off: off, pre: pre})
+	pm.store(off, src)
 }
 
-// markDirty records [lo, hi) as possibly differing from durable data,
-// keeping pm.dirty sorted and coalesced. Log appends hit the two fast
-// paths (extend the last span or start a new one past it) without a search.
-func (pm *PM) markDirty(lo, hi int64) {
-	if lo >= hi {
-		return
+// preBuf returns an n-byte pre-image buffer, recycling a freed one when it
+// is large enough.
+func (pm *PM) preBuf(n int) []byte {
+	var b []byte
+	if k := len(pm.free); k > 0 {
+		b, pm.free = pm.free[k-1], pm.free[:k-1]
 	}
-	d := pm.dirty
-	n := len(d)
-	if n == 0 || lo > d[n-1].end {
-		pm.dirty = append(d, pmSpan{off: lo, end: hi})
-		return
+	if cap(b) >= n {
+		return b[:n]
 	}
-	if last := &d[n-1]; lo >= last.off {
-		if hi > last.end {
-			last.end = hi
-		}
-		return
-	}
-	// General case: merge with every span overlapping or adjacent to
-	// [lo, hi). i is the first such span, j the first past the window.
-	i := sort.Search(n, func(k int) bool { return d[k].end >= lo })
-	j := sort.Search(n, func(k int) bool { return d[k].off > hi })
-	if i == j { // disjoint: insert at i
-		d = append(d, pmSpan{})
-		copy(d[i+1:], d[i:])
-		d[i] = pmSpan{off: lo, end: hi}
-		pm.dirty = d
-		return
-	}
-	if d[i].off < lo {
-		lo = d[i].off
-	}
-	if d[j-1].end > hi {
-		hi = d[j-1].end
-	}
-	d[i] = pmSpan{off: lo, end: hi}
-	pm.dirty = append(d[:i+1], d[j:]...)
+	return make([]byte, n)
 }
 
 // WritePersist writes src and immediately persists it (the common
@@ -193,6 +196,17 @@ func (pm *PM) WritePersist(p *sim.Proc, off int64, src []byte) {
 	pm.Persist(p, off, int64(len(src)))
 }
 
+// WritePersistNoCost is WriteNoCost followed by PersistNoCost over the same
+// range, for callers with no yield between the two: no crash can land in
+// between, so no undo record is taken.
+//
+//linefs:hotpath
+func (pm *PM) WritePersistNoCost(off int64, src []byte) {
+	pm.check(off, len(src))
+	pm.store(off, src)
+	pm.PersistNoCost(off, int64(len(src)))
+}
+
 // Persist makes all writes overlapping [off, off+n) durable, charging a
 // flush cost proportional to the range.
 func (pm *PM) Persist(p *sim.Proc, off, n int64) {
@@ -200,71 +214,62 @@ func (pm *PM) Persist(p *sim.Proc, off, n int64) {
 	pm.PersistNoCost(off, n)
 }
 
-// PersistNoCost copies the dirty parts of [off, off+n) from the shadow
-// view to durable storage without charging time. Dirty spans straddling
-// the window edge stay volatile outside it.
+// PersistNoCost makes [off, off+n) durable without charging time by
+// dropping the parts of undo records inside the window. A record
+// straddling an edge keeps its outside parts as capacity-limited
+// sub-slices, so a recycled buffer never overwrites a live remnant.
 //
 //linefs:hotpath
 func (pm *PM) PersistNoCost(off, n int64) {
 	lo, hi := off, off+n
 	kept := pm.spare[:0]
-	for _, s := range pm.dirty {
-		if s.end <= lo || s.off >= hi {
-			kept = append(kept, s)
-			continue
-		}
-		ps, pe := max64(s.off, lo), min64(s.end, hi)
-		copy(pm.data[ps:pe], pm.shadow[ps:pe])
-		if s.off < ps {
-			kept = append(kept, pmSpan{off: s.off, end: ps})
-		}
-		if pe < s.end {
-			kept = append(kept, pmSpan{off: pe, end: s.end})
+	for _, u := range pm.undo {
+		end := u.off + int64(len(u.pre))
+		switch {
+		case u.off >= lo && end <= hi:
+			pm.free = append(pm.free, u.pre)
+		case end <= lo || u.off >= hi:
+			kept = append(kept, u)
+		default:
+			if k := lo - u.off; k > 0 {
+				kept = append(kept, pmUndo{off: u.off, pre: u.pre[:k:k]})
+			}
+			if end > hi {
+				kept = append(kept, pmUndo{off: hi, pre: u.pre[hi-u.off:]})
+			}
 		}
 	}
-	pm.spare = pm.dirty[:0]
-	pm.dirty = kept
+	pm.spare = pm.undo[:0]
+	pm.undo = kept
 }
 
-// PersistAll flushes every pending write (a full fence; used at clean
-// shutdown and in setup code).
+// PersistAll makes every pending write durable (a full fence; used at
+// clean shutdown and in setup code).
 func (pm *PM) PersistAll() {
-	for _, s := range pm.dirty {
-		copy(pm.data[s.off:s.end], pm.shadow[s.off:s.end])
+	for _, u := range pm.undo {
+		pm.free = append(pm.free, u.pre)
 	}
-	pm.dirty = pm.dirty[:0]
+	pm.undo = pm.undo[:0]
 }
 
 // Crash discards all unpersisted writes, emulating power loss or an OS
-// crash before the data reached the persistence domain: the shadow view is
-// rewound to the durable bytes.
+// crash before the data reached the persistence domain: the undo records
+// are written back newest first.
 func (pm *PM) Crash() {
-	for _, s := range pm.dirty {
-		copy(pm.shadow[s.off:s.end], pm.data[s.off:s.end])
+	for i := len(pm.undo) - 1; i >= 0; i-- {
+		pm.store(pm.undo[i].off, pm.undo[i].pre)
+		pm.free = append(pm.free, pm.undo[i].pre)
 	}
-	pm.dirty = pm.dirty[:0]
+	pm.undo = pm.undo[:0]
 }
 
-// PendingBytes reports the volume of unpersisted data (test helper).
-// Overlapping writes count once: spans are coalesced.
+// PendingBytes reports the volume of unpersisted writes (test helper). It
+// sums the undo records, so a byte written twice before a persist counts
+// twice.
 func (pm *PM) PendingBytes() int64 {
 	var n int64
-	for _, s := range pm.dirty {
-		n += s.end - s.off
+	for _, u := range pm.undo {
+		n += int64(len(u.pre))
 	}
 	return n
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

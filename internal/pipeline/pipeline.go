@@ -14,8 +14,6 @@
 package pipeline
 
 import (
-	"time"
-
 	"linefs/internal/sim"
 )
 
@@ -85,14 +83,8 @@ type Config struct {
 	QueueCap int
 	// ScaleThreshold is the queue depth that triggers growing a stage.
 	ScaleThreshold int
-	// MonitorInterval is unused: scaling is event-driven (checked on every
-	// enqueue). The field remains so existing configurations still compile.
-	MonitorInterval time.Duration
-	// ThreadBudget caps total workers across this pipeline's stages
-	// (0 = unlimited). Ignored when Budget is set.
-	ThreadBudget int
-	// Budget, when non-nil, is a worker budget shared with other
-	// pipelines; it takes precedence over ThreadBudget.
+	// Budget caps total workers across this pipeline's stages and any
+	// other pipeline sharing it; nil means unlimited.
 	Budget *Budget
 }
 
@@ -152,9 +144,6 @@ func New[T any](env *sim.Env, name string, cfg Config, stages ...Stage[T]) *Pipe
 		cfg.ScaleThreshold = 5
 	}
 	pl := &Pipeline[T]{env: env, name: name, cfg: cfg, budget: cfg.Budget, idle: sim.NewEvent(env)}
-	if pl.budget == nil {
-		pl.budget = NewBudget(cfg.ThreadBudget)
-	}
 	pl.idle.Trigger(nil)
 	for _, s := range stages {
 		if s.MinWorkers == 0 {

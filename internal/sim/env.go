@@ -293,7 +293,7 @@ func (e *Env) Shutdown() {
 	}
 	e.procs = nil
 	e.eq.a = nil
-	// Return freed pages to the OS: simulations touch GBs of PM arrays and
+	// Return freed pages to the OS: simulations touch GBs of PM pages and
 	// back-to-back experiments would otherwise accumulate resident memory.
 	debug.FreeOSMemory()
 }

@@ -12,8 +12,7 @@ import (
 
 func testCluster(t *testing.T, clients int) (*sim.Env, *core.Cluster) {
 	t.Helper()
-	// Small PM: the workloads here move at most ~8 MB, and per-machine PM
-	// array size dominates wall-clock cost (page faulting, not simulation).
+	// Small PM: the workloads here move at most ~8 MB.
 	cfg := core.DefaultConfig()
 	cfg.Spec.PMSize = 256 << 20
 	cfg.VolSize = 128 << 20
