@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build lint lint-fix-list test-short test race selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos chaos-smoke clean
+.PHONY: ci vet build lint lint-fix-list test-short test race selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos chaos-smoke loc clean
 
 ci: vet build lint test race selfcheck databench-smoke repbench-smoke chaos-smoke
 
@@ -96,6 +96,10 @@ chaos:
 # CI smoke: same harness and invariants, 25 schedules.
 chaos-smoke:
 	$(GO) run ./cmd/linefs-bench -chaos -chaos-n 25
+
+# Code-size metric (ROADMAP north star): non-test Go lines in internal/core.
+loc:
+	@find internal/core -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
 clean:
 	rm -f linefs-bench

@@ -138,13 +138,6 @@ func (s *SharedFS) Start() {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func (s *SharedFS) hostCompute(p *sim.Proc, work time.Duration, tag string) {
 	m := s.cl.Machines[s.machine]
 	m.HostCPU.Compute(p, work, s.cl.Cfg.DFSPrio, tag)

@@ -146,8 +146,8 @@ func genChaosPlan(seed int64) *chaosPlan {
 }
 
 // chaosClusterConfig is a deliberately small cluster — schedules run by the
-// hundreds — with every robustness knob enabled: replication retransmit,
-// control-RPC retry, manager hysteresis, and a two-miss kworker detector.
+// hundreds — with a short heartbeat. Replication retransmit needs no knob:
+// it runs because runChaosOnce installs a fault plane before any attach.
 func chaosClusterConfig(clients int) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.MaxClients = clients
@@ -158,9 +158,6 @@ func chaosClusterConfig(clients int) core.Config {
 	cfg.InodesPerVol = 2048
 	cfg.InoRangePerClient = 512
 	cfg.HeartbeatEvery = 200 * time.Millisecond
-	cfg.DetectorMisses = 2
-	cfg.RepRetryEvery = 10 * time.Millisecond
-	cfg.RPCRetryEvery = 25 * time.Millisecond
 	return cfg
 }
 

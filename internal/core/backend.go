@@ -60,7 +60,7 @@ func newAttachment(p *sim.Proc, cl *Cluster, machine, slot int) (*Attachment, er
 	b.lowConn = rdma.Dial(m.HostPort, m.NICPort, svcLow, true)
 	b.bulkConn = rdma.Dial(m.HostPort, m.NICPort, svcBulk, false)
 
-	v, err := b.call(p, "attach", &attachReq{Client: b.id, Slot: slot}, 64)
+	v, err := b.lowConn.Call(p, "attach", &attachReq{Client: b.id, Slot: slot}, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -121,35 +121,9 @@ func (b *linefsBackend) close() {
 	}
 }
 
-// call issues a control RPC on the low-latency class. With RPCRetryEvery
-// unset (the default) it is a plain blocking Call. With it set, each
-// attempt is bounded and retried with doubling backoff: control RPCs are
-// idempotent (attach re-answers the same admission, lease acquisition and
-// open checks are pure reads or re-grants, fsync re-waits on a watermark),
-// so a lost request or response costs one timeout, not a wedged client.
-func (b *linefsBackend) call(p *sim.Proc, op string, arg any, size int) (any, error) {
-	every := b.cl.Cfg.RPCRetryEvery
-	if every <= 0 {
-		return b.lowConn.Call(p, op, arg, size)
-	}
-	timeout := every
-	const maxAttempts = 12
-	for attempt := 1; ; attempt++ {
-		v, err, replied := b.lowConn.CallTimeout(p, op, arg, size, timeout)
-		if replied {
-			return v, err
-		}
-		if attempt >= maxAttempts {
-			return nil, fmt.Errorf("core: %s RPC: no response after %d attempts", op, attempt)
-		}
-		b.cl.Robust.RPCRetries++
-		timeout *= 2
-	}
-}
-
 // AcquireLease implements dfs.Backend.
 func (b *linefsBackend) AcquireLease(p *sim.Proc, ino fs.Ino, mode lease.Mode) (bool, error) {
-	v, err := b.call(p, "lease-acquire",
+	v, err := b.lowConn.Call(p, "lease-acquire",
 		&leaseReq{Client: b.id, Ino: ino, Mode: mode}, 24)
 	if err != nil {
 		return false, err
@@ -159,7 +133,7 @@ func (b *linefsBackend) AcquireLease(p *sim.Proc, ino fs.Ino, mode lease.Mode) (
 
 // OpenCheck implements dfs.Backend.
 func (b *linefsBackend) OpenCheck(p *sim.Proc, pth string) error {
-	_, err := b.call(p, "open", &openReq{Client: b.id, Path: pth}, 64)
+	_, err := b.lowConn.Call(p, "open", &openReq{Client: b.id, Path: pth}, 64)
 	return err
 }
 
@@ -175,6 +149,6 @@ func (b *linefsBackend) ChunkReady(p *sim.Proc, head uint64, marks []uint64) {
 
 // Fsync implements dfs.Backend.
 func (b *linefsBackend) Fsync(p *sim.Proc, head uint64) error {
-	_, err := b.call(p, "fsync", &fsyncReq{Slot: b.slot, Head: head}, 24)
+	_, err := b.lowConn.Call(p, "fsync", &fsyncReq{Slot: b.slot, Head: head}, 24)
 	return err
 }

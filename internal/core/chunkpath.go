@@ -171,45 +171,50 @@ func newClientState(n *NICFS, slot int, id string, la *fs.LogArea) *clientState 
 	}
 	cs.procs = append(cs.procs, env.Go(id+"/sender", cs.runSender))
 	cs.procs = append(cs.procs, env.Go(id+"/completion", cs.runCompletion))
-	if cfg.RepRetryEvery > 0 {
+	if n.cl.Fabric.Faults != nil {
 		cs.procs = append(cs.procs, env.Go(id+"/retransmit", cs.runRetransmit))
 	}
 	return cs
 }
 
-// runRetransmit is the replication retry layer (enabled by RepRetryEvery):
-// when the pending window sits without the cumulative-ack watermark
-// advancing for a full interval, the un-replicated chunks are resent down
-// the chain. Resends are idempotent — a mirror that already persisted a
-// range re-acks its watermark and drops the duplicate (re-forwarding it, in
-// case the lost frame was a mid-chain hop's forward) — and the interval
-// backs off exponentially while no progress is made, so a long partition
-// does not flood the fabric. Chunk buffers stay alive until replication
-// completes, so resending reuses them without copies.
+// repRetryEvery is the retransmit layer's base interval.
+const repRetryEvery = 10 * time.Millisecond
+
+// runRetransmit is the replication retry layer. It runs exactly when the
+// cluster fabric carries a fault plane: without one, RDMA reliable
+// connections lose no frame, and a compressed chunk can take longer than
+// repRetryEvery to be acked, so every resend would be spurious. When the
+// pending window sits without the cumulative-ack watermark advancing for a
+// full interval, the un-replicated chunks are resent down the chain.
+// Resends are idempotent — a mirror that already persisted a range re-acks
+// its watermark and drops the duplicate (re-forwarding it, in case the lost
+// frame was a mid-chain hop's forward) — and the interval backs off
+// exponentially while no progress is made, so a long partition does not
+// flood the fabric. Chunk buffers stay alive until replication completes,
+// so resending reuses them without copies.
 func (cs *clientState) runRetransmit(p *sim.Proc) {
-	every := cs.n.cl.Cfg.RepRetryEvery
-	delay := every
+	delay := repRetryEvery
 	var lastWater uint64
 	for {
 		p.Sleep(delay)
 		if len(cs.repPending) == 0 {
-			delay = every
+			delay = repRetryEvery
 			continue
 		}
 		water, any := cs.aliveWater()
 		if !any {
 			// No live replica: advanceAcked already completes chunks against
 			// the reconfigured (empty) chain; nothing to resend to.
-			delay = every
+			delay = repRetryEvery
 			continue
 		}
 		if water > lastWater {
 			lastWater = water
-			delay = every
+			delay = repRetryEvery
 			continue
 		}
 		cs.resendPending(p)
-		if delay < 8*every {
+		if delay < 8*repRetryEvery {
 			delay *= 2
 		}
 	}

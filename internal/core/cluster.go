@@ -76,8 +76,13 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 
 // InstallFaultPlane attaches a deterministic fault plane to the cluster
 // fabric, feeding its injection counters into cl.Robust, and returns it for
-// rule installation. Idempotent.
+// rule installation. It is idempotent until the first Attach and panics
+// after it: each client's replication retransmit loop starts at attach,
+// and only when a fault plane is already installed.
 func (cl *Cluster) InstallFaultPlane() *rdma.FaultPlane {
+	if cl.nAttach > 0 {
+		panic("core: InstallFaultPlane after a client attached")
+	}
 	if cl.Fabric.Faults == nil {
 		cl.Fabric.Faults = rdma.NewFaultPlane(cl.Env, &cl.Robust)
 	}

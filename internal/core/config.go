@@ -111,11 +111,6 @@ type Config struct {
 	// PubMode selects the kernel worker's publication method.
 	PubMode PubMode
 
-	// NICMem flow-control watermarks (§4): replication pauses above High
-	// and resumes below Low utilization of SmartNIC memory.
-	HighWatermark float64
-	LowWatermark  float64
-
 	// LeaseTTL is the lease lifetime.
 	LeaseTTL time.Duration
 
@@ -126,23 +121,6 @@ type Config struct {
 	// HeartbeatEvery paces the cluster manager and the NICFS->kernel
 	// worker failure detector.
 	HeartbeatEvery time.Duration
-
-	// DetectorMisses is the hysteresis of the NICFS->kernel-worker
-	// detector's isolated-mode flip, the counterpart of the cluster
-	// manager's DownAfter (<= 0 means 1: flip on the first miss, the seed
-	// behavior — Figure 10's recovery timeline depends on it).
-	DetectorMisses int
-
-	// RepRetryEvery enables replication retransmission: chunks that sit in
-	// the primary's pending window without their cumulative-ack watermark
-	// advancing for this long are resent (idempotent at mirrors: a frame at
-	// or below the mirror log head is re-acked and dropped). Zero — the
-	// default — disables the retransmit process entirely.
-	RepRetryEvery time.Duration
-	// RPCRetryEvery enables control-RPC retry with doubling backoff for
-	// client-side attach/lease/open/fsync calls. Zero — the default — keeps
-	// the seed's single blocking Call.
-	RPCRetryEvery time.Duration
 
 	// InodesPerVol sizes each node's inode table; InoRangePerClient is the
 	// private inode number range handed to each LibFS at attach.
@@ -166,11 +144,8 @@ func DefaultConfig() Config {
 		RepBatchChunks:    16,
 		NotifyChunks:      1,
 		PubMode:           PubDMAIntrBatch,
-		HighWatermark:     0.7,
-		LowWatermark:      0.3,
 		LeaseTTL:          time.Second,
 		HeartbeatEvery:    time.Second,
-		DetectorMisses:    1,
 		InodesPerVol:      65536,
 		InoRangePerClient: 4096,
 	}

@@ -390,11 +390,16 @@ func TestHostCrashIsolatedModeKeepsChainAlive(t *testing.T) {
 		l.Fsync(p, fd)
 
 		// Crash replica 1's host. Its NICFS must detect the dead kernel
-		// worker and keep replicating via PCIe.
-		cl.CrashHost(1)
+		// worker and keep replicating via PCIe. Publication drains first,
+		// so the detector's probe, not a timed-out publish copy, is what
+		// flips isolation. It flips on the first missed probe: within one
+		// sleep of HeartbeatEvery/2 plus one probe timeout of
+		// HeartbeatEvery/4.
 		p.Sleep(time.Second)
+		cl.CrashHost(1)
+		p.Sleep(150 * time.Millisecond)
 		if !cl.NICs[1].Isolated {
-			t.Fatal("NICFS on crashed host not isolated")
+			t.Fatal("NICFS on crashed host not isolated within one probe period")
 		}
 		after = bytes.Repeat([]byte{4}, 256<<10)
 		if _, err := l.WriteAt(p, fd, uint64(len(payload)), after); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,7 +45,6 @@ func TestRetransmitDupDeliveryIdempotent(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.ChunkSize = 128 << 10
-	cfg.RepRetryEvery = 10 * time.Millisecond
 	env, cl := newTestCluster(t, cfg)
 	fp := cl.InstallFaultPlane()
 	payload := bytes.Repeat([]byte{0x5A}, 512<<10)
@@ -94,7 +94,6 @@ func TestCorruptedFrameRejectedEndToEnd(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.ChunkSize = 128 << 10
-			cfg.RepRetryEvery = 10 * time.Millisecond
 			cfg.Compress = tc.compress
 			env, cl := newTestCluster(t, cfg)
 			fp := cl.InstallFaultPlane()
@@ -144,7 +143,6 @@ func TestPartitionStallsFsyncUntilHeal(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.ChunkSize = 128 << 10
-	cfg.RepRetryEvery = 10 * time.Millisecond
 	env, cl := newTestCluster(t, cfg)
 	fp := cl.InstallFaultPlane()
 	payload := bytes.Repeat([]byte{0x9D}, 256<<10)
@@ -177,4 +175,69 @@ func TestPartitionStallsFsyncUntilHeal(t *testing.T) {
 		t.Error("heal never counted")
 	}
 	assertReplicasHold(t, cl, "/part", payload)
+}
+
+// TestFaultFreeClusterNeverRetransmits runs compressed replication, whose
+// 1 MB chunks can take longer than repRetryEvery to be acked, on a fabric
+// without a fault plane: no retransmit loop may exist, so nothing is
+// resent and no ack arrives for a chunk already completed.
+func TestFaultFreeClusterNeverRetransmits(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.Compress = true
+	env, cl := newTestCluster(t, cfg)
+	block := make([]byte, 1<<20)
+	run(t, env, 120*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/lz")
+		for i := 0; i < 8; i++ {
+			for j := range block {
+				o := i*len(block) + j
+				block[j] = "linefs pipeline "[o%16] + byte(o>>12&3)
+			}
+			if _, err := l.WriteAt(p, fd, uint64(i*len(block)), block); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n0 := cl.NICs[0]; n0.RepWireBytes >= n0.RepBytes {
+		t.Fatalf("compression never engaged: %d wire bytes for %d raw", n0.RepWireBytes, n0.RepBytes)
+	}
+	if r := cl.Robust; r.RepResends != 0 || r.StaleAcks != 0 {
+		t.Errorf("fault-free run: %d resends, %d stale acks; want 0", r.RepResends, r.StaleAcks)
+	}
+	for _, cs := range cl.NICs[0].clients {
+		if cs == nil {
+			continue
+		}
+		for _, pr := range cs.procs {
+			if strings.HasSuffix(pr.Name(), "/retransmit") {
+				t.Errorf("retransmit loop %s running without a fault plane", pr.Name())
+			}
+		}
+	}
+}
+
+// TestInstallFaultPlaneAfterAttachPanics pins the ordering contract: a
+// client attached before the plane would have no retransmit loop.
+func TestInstallFaultPlaneAfterAttachPanics(t *testing.T) {
+	t.Parallel()
+	env, cl := newTestCluster(t, testConfig())
+	if cl.InstallFaultPlane() != cl.InstallFaultPlane() {
+		t.Fatal("InstallFaultPlane is not idempotent before attach")
+	}
+	run(t, env, 10*time.Second, func(p *sim.Proc) {
+		if _, err := cl.Attach(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("InstallFaultPlane after Attach did not panic")
+		}
+	}()
+	cl.InstallFaultPlane()
 }

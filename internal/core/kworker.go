@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"linefs/internal/fs"
 	"linefs/internal/rdma"
 	"linefs/internal/sim"
 )
@@ -171,5 +170,3 @@ func (kw *KWorker) hostWrite(p *sim.Proc, it copyItem) {
 	m := kw.cl.Machines[kw.machine]
 	m.PM.WritePersist(p, it.Dst, it.Data)
 }
-
-var _ = fs.BlockSize // keep fs imported for future layout checks

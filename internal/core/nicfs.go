@@ -306,9 +306,9 @@ func (n *NICFS) handleAttach(p *sim.Proc, msg *rdma.Msg) {
 	req := msg.Arg.(*attachReq)
 	cl := n.cl
 	logBase := cl.logBase(req.Slot)
-	// Idempotent for the RPC-retry path: a duplicate attach (the response
-	// was lost, the client retried) must not tear down live per-client
-	// state — re-answer with the same admission instead.
+	// Idempotent: a second attach for a slot its client already holds must
+	// not tear down live per-client state — re-answer with the same
+	// admission instead.
 	if cur := n.clients[req.Slot]; cur == nil || cur.id != req.Client {
 		la := fs.NewLogArea(cl.Machines[n.machine].PM, logBase, cl.Cfg.LogSize)
 		n.clients[req.Slot] = newClientState(n, req.Slot, req.Client, la)
@@ -423,35 +423,18 @@ func (n *NICFS) persistLeaseRecord(p *sim.Proc, rec leaseRecord) {
 // leaseJournalOff is a small PM scratch area for the lease journal.
 const leaseJournalOff = 384
 
-// runDetector monitors the host kernel worker (§3.5): Cfg.DetectorMisses
-// consecutive missed probes flip NICFS into isolated operation; a single
-// successful probe flips it back. The default threshold is 1 (flip on the
-// first miss): the probe runs over the machine-local fabric, where a miss
-// means the host really is gone, and entering isolated mode is cheap and
-// reversible — unlike a cluster-level down transition. The knob exists for
-// chaos schedules that inject faults on the local fabric.
+// runDetector monitors the host kernel worker (§3.5): one missed probe
+// flips NICFS into isolated operation and one successful probe flips it
+// back. The probe runs over the machine-local fabric, which never carries
+// a fault plane, so a miss means the host really is gone; entering
+// isolated mode is cheap and reversible, unlike a cluster-level down
+// transition. Figure 10's recovery timeline depends on the first-miss flip.
 func (n *NICFS) runDetector(p *sim.Proc) {
 	interval := n.cl.Cfg.HeartbeatEvery / 2
-	need := n.cl.Cfg.DetectorMisses
-	if need <= 0 {
-		need = 1
-	}
-	misses := 0
 	for {
 		p.Sleep(interval)
 		_, err, replied := n.kwConn.CallTimeout(p, "probe", nil, 8, interval/2)
-		healthy := replied && err == nil
-		if healthy {
-			misses = 0
-			if n.Isolated {
-				n.Isolated = false
-			}
-			continue
-		}
-		misses++
-		if misses >= need && !n.Isolated {
-			n.Isolated = true
-		}
+		n.Isolated = !(replied && err == nil)
 	}
 }
 
@@ -575,14 +558,20 @@ func (n *NICFS) Crash() {
 	n.bulkQ.Close()
 }
 
+// SmartNIC memory flow-control watermarks (§4): replication pauses above
+// highWatermark utilization and resumes below lowWatermark.
+const (
+	highWatermark = 0.7
+	lowWatermark  = 0.3
+)
+
 // memReserve blocks until SmartNIC memory can hold n more bytes under the
 // high watermark; memRelease frees and wakes waiters once utilization
 // drops below the low watermark (§4 replication flow control).
 func (n *NICFS) memReserve(p *sim.Proc, bytes int64) {
 	mem := n.cl.Machines[n.machine].NICMem
-	cfg := n.cl.Cfg
 	for {
-		if mem.Utilization() <= cfg.HighWatermark && mem.Alloc(bytes) {
+		if mem.Utilization() <= highWatermark && mem.Alloc(bytes) {
 			return
 		}
 		ev := n.memFreed
@@ -593,7 +582,7 @@ func (n *NICFS) memReserve(p *sim.Proc, bytes int64) {
 func (n *NICFS) memRelease(bytes int64) {
 	mem := n.cl.Machines[n.machine].NICMem
 	mem.Free(bytes)
-	if mem.Utilization() < n.cl.Cfg.LowWatermark {
+	if mem.Utilization() < lowWatermark {
 		n.memFreed.Trigger(nil)
 		n.memFreed = sim.NewEvent(n.cl.Env)
 	}

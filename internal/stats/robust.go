@@ -19,7 +19,9 @@ type Robustness struct {
 	OneSidedFaults   int64 // one-sided verbs failed or corrupted
 	PartitionsHealed int64 // bidirectional partitions lifted
 
-	// Survival-layer reactions.
+	// Survival-layer reactions. Control RPCs ride the host-NIC fabric,
+	// which never carries a fault plane, and are not retried, so
+	// RPCRetries stays 0.
 	RPCRetries       int64 // control-RPC attempts beyond the first
 	RPCTimeouts      int64 // control-RPC attempts that timed out
 	RepResends       int64 // replication retransmit messages sent
