@@ -14,6 +14,7 @@
 //	linefs-bench -selfcheck           # run each experiment twice, fail on digest divergence
 //	linefs-bench -chaos               # 200 seeded fault schedules, fail on invariant violations
 //	linefs-bench -chaos -chaos-seed 7 # replay one chaos schedule (minimal reproducer)
+//	linefs-bench -exp fig9 -cpuprofile cpu.out -memprofile mem.out  # pprof profiles of the run
 //
 // Every experiment owns a self-contained sim.Env with a deterministic seed,
 // so -j N produces byte-identical tables to -j 1; only wall-clock changes.
@@ -31,6 +32,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -43,7 +45,7 @@ func main() {
 
 // run is main minus the process boundary, so tests can drive the CLI with
 // captured streams and compare stdout bytes across -j values.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("linefs-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -64,9 +66,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chaos  = fs.Bool("chaos", false, "run the seeded fault-schedule explorer and fail on any invariant violation")
 		chaosN = fs.Int("chaos-n", 200, "number of seeded fault schedules for -chaos")
 		chaosS = fs.Int64("chaos-seed", -1, "replay exactly this chaos seed (reproducer mode); -1 runs -chaos-n schedules")
+		cpuOut = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+		memOut = fs.String("memprofile", "", "write a pprof heap profile (allocations over the whole run) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+
+	if *cpuOut != "" {
+		f, err := os.Create(*cpuOut)
+		if err != nil {
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil && code == 0 {
+				fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+				code = 1
+			}
+		}()
+	}
+	if *memOut != "" {
+		defer func() {
+			if err := writeHeapProfile(*memOut); err != nil && code == 0 {
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
+				code = 1
+			}
+		}()
 	}
 
 	if *list {
@@ -203,4 +235,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "ran %d experiment(s) with -j %d in %s\n",
 		len(toRun), *j, time.Since(start).Round(time.Millisecond))
 	return 0
+}
+
+// writeHeapProfile writes the heap profile to path. Its alloc_space and
+// alloc_objects samples cover the whole run; the GC first makes the
+// in-use samples current.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -58,5 +60,27 @@ func TestListAndUsage(t *testing.T) {
 	}
 	if code := run([]string{"-exp", "nosuch"}, io.Discard, io.Discard); code != 2 {
 		t.Fatalf("unknown experiment exited %d, want 2", code)
+	}
+}
+
+// TestProfileFlags checks -cpuprofile and -memprofile write non-empty
+// pprof files, and that an unwritable path fails the run.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	if code := run([]string{"-list", "-cpuprofile", cpu, "-memprofile", mem}, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("-list with profiles exited %d", code)
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Fatalf("profile %s not written (err %v)", f, err)
+		}
+	}
+	bad := filepath.Join(dir, "missing", "cpu.out")
+	if code := run([]string{"-list", "-cpuprofile", bad}, io.Discard, io.Discard); code != 1 {
+		t.Fatalf("unwritable -cpuprofile exited %d, want 1", code)
+	}
+	if code := run([]string{"-list", "-memprofile", bad}, io.Discard, io.Discard); code != 1 {
+		t.Fatalf("unwritable -memprofile exited %d, want 1", code)
 	}
 }

@@ -76,9 +76,13 @@ func (f *chaosFault) describe() string {
 // generated from its own explicitly seeded rng so the simulation's RNG draws
 // stay exactly the fault plane's and workload's.
 type chaosPlan struct {
-	seed   int64
-	faults []chaosFault
-	rounds [][]int
+	seed int64
+	// compress turns on replication compression, on odd seeds: the parity
+	// costs no rng draw, and half the schedules then fault compressed
+	// frames through the mirror's decode path.
+	compress bool
+	faults   []chaosFault
+	rounds   [][]int
 	// gaps[ci][i] is the think time before round i, pacing each client's
 	// writes across the fault window so schedules actually intersect
 	// in-flight replication traffic.
@@ -88,7 +92,7 @@ type chaosPlan struct {
 // genChaosPlan derives the schedule for one seed.
 func genChaosPlan(seed int64) *chaosPlan {
 	rng := rand.New(rand.NewSource(seed))
-	plan := &chaosPlan{seed: seed}
+	plan := &chaosPlan{seed: seed, compress: seed%2 != 0}
 
 	nf := 1 + rng.Intn(3)
 	for i := 0; i < nf; i++ {
@@ -146,11 +150,13 @@ func genChaosPlan(seed int64) *chaosPlan {
 }
 
 // chaosClusterConfig is a deliberately small cluster — schedules run by the
-// hundreds — with a short heartbeat. Replication retransmit needs no knob:
-// it runs because runChaosOnce installs a fault plane before any attach.
-func chaosClusterConfig(clients int) core.Config {
+// hundreds — with a short heartbeat, compressing replication when the plan
+// says so. Replication retransmit needs no knob: it runs because
+// runChaosOnce installs a fault plane before any attach.
+func chaosClusterConfig(plan *chaosPlan) core.Config {
 	cfg := core.DefaultConfig()
-	cfg.MaxClients = clients
+	cfg.MaxClients = len(plan.rounds)
+	cfg.Compress = plan.compress
 	cfg.Spec.PMSize = 16 << 20
 	cfg.VolSize = 8 << 20
 	cfg.LogSize = 2 << 20
@@ -197,7 +203,7 @@ func runChaosOnce(plan *chaosPlan) (r *chaosRun) {
 	}()
 
 	o := Options{Quick: true, Seed: plan.seed, Trace: &TraceCollector{}}
-	cfg := chaosClusterConfig(len(plan.rounds))
+	cfg := chaosClusterConfig(plan)
 	env, cl, err := newLineFS(o, cfg)
 	if err != nil {
 		r.violations = append(r.violations, fmt.Sprintf("setup: %v", err))
@@ -455,6 +461,7 @@ func Chaos(opts Options, n int, only int64, stdout, stderr io.Writer) int {
 		totalEvents += r1.events + r2.events
 		if len(vs) > 0 {
 			bad++
+			fmt.Fprintf(stdout, "chaos seed %d compress: %t\n", seed, plan.compress)
 			for _, f := range plan.faults {
 				fmt.Fprintf(stdout, "chaos seed %d schedule: %s\n", seed, f.describe())
 			}
@@ -463,6 +470,7 @@ func Chaos(opts Options, n int, only int64, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stdout, "chaos seed %d: reproduce with: linefs-bench -chaos -chaos-seed %d\n", seed, seed)
 		} else if only >= 0 {
+			fmt.Fprintf(stdout, "chaos seed %d compress: %t\n", seed, plan.compress)
 			for _, f := range plan.faults {
 				fmt.Fprintf(stdout, "chaos seed %d schedule: %s\n", seed, f.describe())
 			}

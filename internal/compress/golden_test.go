@@ -132,6 +132,50 @@ func TestEncoderReuseAcrossCalls(t *testing.T) {
 	}
 }
 
+// TestEOFAtWidthBoundary round-trips every input whose last dictionary
+// entry lands one below a code-width boundary (511, 1023, ... 32767), where
+// the decoder reads EOF one bit wider than the old encoder wrote it.
+func TestEOFAtWidthBoundary(t *testing.T) {
+	t.Parallel()
+	src := make([]byte, 1<<17)
+	rand.New(rand.NewSource(5)).Read(src)
+	// Replay the encoder's parse: when an insertion brings next to a
+	// target, the prefix through that byte ends on a one-byte final code
+	// with exactly that dictionary size.
+	dict := make(map[uint32]uint32)
+	next := uint32(firstCode)
+	cur := uint32(src[0])
+	bits := uint(minBits)
+	for i, b := range src[1:] {
+		key := cur<<8 | uint32(b)
+		if code, ok := dict[key]; ok {
+			cur = code
+			continue
+		}
+		dict[key] = next
+		next++
+		cur = uint32(b)
+		if next != 1<<bits-1 {
+			continue
+		}
+		in := src[:i+2]
+		stream := Compress(in)
+		if want := ReferenceCompress(in); !bytes.Equal(stream, want) {
+			t.Fatalf("%d-bit boundary: stream differs from the reference encoder", bits)
+		}
+		if got, err := Decompress(stream); err != nil || !bytes.Equal(got, in) {
+			t.Fatalf("%d-bit boundary (%d bytes): %v", bits, len(in), err)
+		}
+		if got, err := ReferenceDecompress(stream); err != nil || !bytes.Equal(got, in) {
+			t.Fatalf("%d-bit boundary (%d bytes): reference decoder: %v", bits, len(in), err)
+		}
+		if bits++; bits == maxBits {
+			return
+		}
+	}
+	t.Fatalf("corpus too short: reached only the %d-bit boundary", bits)
+}
+
 // TestCompressIntoSteadyStateAllocFree is the 0 allocs/op gate for the
 // steady-state compression path (warm codec, pre-sized scratch).
 func TestCompressIntoSteadyStateAllocFree(t *testing.T) {

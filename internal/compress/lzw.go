@@ -17,7 +17,10 @@
 //
 // The wire format is frozen: CompressInto produces bit-identical output to
 // the seed implementation (see reference.go, which preserves that
-// implementation as the oracle for the golden-bytes and fuzz tests).
+// implementation as the oracle for the golden-bytes and fuzz tests). The
+// one exception is a stream whose last dictionary entry lands on a width
+// boundary: the seed wrote its EOF code too narrow to decode, and both
+// encoders now write it at the width the decoder reads (eofBits).
 package compress
 
 import (
@@ -103,15 +106,6 @@ func (r *bitReader) read(bits uint) (uint32, error) {
 	return uint32(r.cur>>r.nbit) & (1<<bits - 1), nil
 }
 
-// Encoder holds reusable LZW compression state: the dictionary as a flat,
-// generation-stamped hash table mapping (prefix code, next byte) pairs to
-// codes. A dictionary reset — mid-stream or between calls — only bumps the
-// generation counter instead of clearing or reallocating the table, so a
-// warm Encoder compresses without allocating.
-//
-// An Encoder is not safe for concurrent use; the replication pipeline keeps
-// one per client, which is safe because compression never yields to the
-// simulation scheduler mid-call.
 // encEntry packs one hash slot into eight bytes. The key is only 24 bits
 // (16-bit prefix code, 8-bit next byte), so the generation stamp that marks
 // a slot live shares the key word: tag = gen<<24 | key, with gen cycling
@@ -123,6 +117,15 @@ type encEntry struct {
 	val uint32 // assigned code
 }
 
+// Encoder holds reusable LZW compression state: the dictionary as a flat,
+// generation-stamped hash table mapping (prefix code, next byte) pairs to
+// codes. A dictionary reset — mid-stream or between calls — only bumps the
+// generation counter instead of clearing or reallocating the table, so a
+// warm Encoder compresses without allocating.
+//
+// An Encoder is not safe for concurrent use. The replication pipeline runs
+// its codec calls on host worker goroutines, several at once, so it gives
+// every call in flight its own Encoder.
 type Encoder struct {
 	tab []encEntry
 	gen uint32 // current generation, 1..255
@@ -218,9 +221,22 @@ outer:
 		cur = uint32(b)
 	}
 	w.write(cur, bits)
-	w.write(eofCode, bits)
+	w.write(eofCode, eofBits(next, bits))
 	w.flush()
 	return w.out
+}
+
+// eofBits is the width of the EOF code that follows the final data code.
+// The decoder adds the dictionary entry for each code as it reads the
+// next one, so it widens one entry ahead of the encoder — in step with
+// every code but the last, after which the encoder adds nothing. When that
+// last entry lands on a width boundary the decoder reads EOF one bit wider,
+// and the encoder must write it so.
+func eofBits(next uint32, bits uint) uint {
+	if next == 1<<bits-1 && bits < maxBits {
+		return bits + 1
+	}
+	return bits
 }
 
 // Compress encodes src with LZW. Empty input yields a minimal valid stream.

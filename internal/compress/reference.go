@@ -12,7 +12,8 @@ import "fmt"
 //     BENCH_dataplane.json, so the recorded speedup is re-measured on the
 //     machine at hand rather than trusted from a past run.
 //
-// Do not optimize this file; its slowness is the point.
+// Do not optimize this file; its slowness is the point. It has one
+// correctness fix, shared with lzw.go: the width of the final EOF code.
 
 // refBitReader is the seed bit reader: byte-at-a-time refill into a 32-bit
 // accumulator. (lzw.go's bitReader has since grown a word-sized refill, so
@@ -78,7 +79,10 @@ func ReferenceCompress(src []byte) []byte {
 		cur = uint32(b)
 	}
 	w.write(cur, bits)
-	w.write(eofCode, bits)
+	// The one change since the seed (see eofBits): when the last entry
+	// lands on a width boundary, the seed wrote EOF one bit too narrow, a
+	// stream no decoder here can read.
+	w.write(eofCode, eofBits(next, bits))
 	w.flush()
 	return w.out
 }

@@ -13,10 +13,12 @@ import (
 // (payload staging into a pooled chunk buffer), appendTouched (namespace
 // history records into the pooled touched slice), compressChunk (the
 // chunk-owned compression buffer), and decodeBatchChunk (mirror-side batch
-// frame decode into a pooled receive buffer). The repbench drives the
-// closure under a MemStats window to assert that the //linefs:hotpath
-// annotations hold at runtime: zero allocations per op once every buffer
-// is warm.
+// frame decode into a pooled receive buffer). The two codec calls go
+// through the host offload exactly as the pipeline runs them — started on
+// a worker, then joined — so the hand-off is measured too. The repbench
+// drives the closure under a MemStats window to assert that the
+// //linefs:hotpath annotations hold at runtime: zero allocations per op
+// once every buffer is warm.
 func ReplHotLoop() (func(), error) {
 	// A chunk's worth of wire-encoded write entries — the byte stream the
 	// pipeline fetches and compresses and the mirror decodes.
@@ -35,7 +37,6 @@ func ReplHotLoop() (func(), error) {
 	if len(payload) >= len(raw) {
 		return nil, fmt.Errorf("repl hot loop: corpus did not compress (%d >= %d)", len(payload), len(raw))
 	}
-	dec := compress.NewDecoder()
 	bc := &batchChunk{
 		From:       0,
 		To:         uint64(len(raw)),
@@ -50,13 +51,18 @@ func ReplHotLoop() (func(), error) {
 	var hist []touched
 	var cbuf []byte
 	dst := make([]byte, len(raw))
+	cj, dj := &codecJob{}, &codecJob{}
 	return func() {
 		stage = growBuf(stage, len(raw))
 		//lint:allow borrowcheck the closure also captures raw, the borrow's backing buffer, so entries can never outlive it
 		hist = appendTouched(hist[:0], entries)
-		cbuf = compressChunk(enc, cbuf, raw)
-		if err := decodeBatchChunk(dec, dst[:len(raw):len(raw)], bc); err != nil {
-			panic(err)
+		cj.startCompress(cbuf, raw)
+		dj.startDecode(dst[:len(raw):len(raw)], bc)
+		cj.Join()
+		cbuf = cj.dst
+		dj.Join()
+		if dj.err != nil {
+			panic(dj.err)
 		}
 	}, nil
 }

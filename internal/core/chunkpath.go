@@ -101,11 +101,6 @@ type clientState struct {
 	// public area).
 	fault error
 
-	// enc is the compression-stage LZW dictionary, reused across chunks.
-	// Compression never yields to the scheduler mid-call, so one encoder
-	// is safe even with several compress-stage workers.
-	enc compress.Encoder
-
 	mainPl *pipeline.Pipeline[*chunk]
 	repPl  *pipeline.Pipeline[*chunk]
 	pubPl  *pipeline.Pipeline[*chunk]
@@ -509,12 +504,17 @@ func (cs *clientState) stageSplit(p *sim.Proc, ck *chunk) bool {
 
 // stageCompress LZW-compresses the chunk payload if it pays off (§3.3.2).
 // NICFS parallelizes this stage aggressively because a single wimpy core
-// compresses at only ~200 MB/s.
+// compresses at only ~200 MB/s. The codec runs on a host worker while the
+// proc pays the NIC charge, and the output is read only after the join.
 func (cs *clientState) stageCompress(p *sim.Proc, ck *chunk) bool {
 	n := cs.n
 	spec := n.cl.Cfg.Spec
-	ck.cbuf = compressChunk(&cs.enc, ck.cbuf, ck.raw)
+	j := n.cl.getCodecJob()
+	defer n.cl.putCodecJob(j)
+	j.startCompress(ck.cbuf, ck.raw)
 	n.nicCompute(p, time.Duration(float64(len(ck.raw))/spec.CompressBW*float64(time.Second)))
+	j.Join()
+	ck.cbuf = j.dst
 	if len(ck.cbuf) < len(ck.raw) {
 		ck.payload = ck.cbuf
 		ck.compressed = true
@@ -530,6 +530,59 @@ func (cs *clientState) stageCompress(p *sim.Proc, ck *chunk) bool {
 //linefs:hotpath
 func compressChunk(enc *compress.Encoder, dst, raw []byte) []byte {
 	return enc.CompressInto(dst[:0], raw)
+}
+
+// codecJob is one LZW call offloaded to a host worker (sim.Start): a
+// chunk compression or a compressed batch frame's decode. It owns dst, src
+// and bc from start to Join. Each job keeps its own encoder and decoder,
+// whose tables are allocated on first use, so codec state is bounded by
+// the jobs in flight.
+type codecJob struct {
+	sim.Offload
+	enc compress.Encoder
+	dec compress.Decoder
+
+	dst, src []byte
+	bc       *batchChunk // non-nil: decode bc into dst; nil: compress src
+	err      error
+}
+
+func (j *codecJob) startCompress(dst, raw []byte) {
+	j.dst, j.src, j.bc = dst, raw, nil
+	sim.Start(j)
+}
+
+func (j *codecJob) startDecode(dst []byte, bc *batchChunk) {
+	j.dst, j.src, j.bc = dst, nil, bc
+	sim.Start(j)
+}
+
+// Run is the worker side: pure codec work over the job's own buffers.
+func (j *codecJob) Run() {
+	if j.bc != nil {
+		j.err = decodeBatchChunk(&j.dec, j.dst, j.bc)
+		return
+	}
+	j.dst = compressChunk(&j.enc, j.dst, j.src)
+}
+
+// getCodecJob pops a pooled codec job (or makes one).
+func (cl *Cluster) getCodecJob() *codecJob {
+	if k := len(cl.codecJobs); k > 0 {
+		j := cl.codecJobs[k-1]
+		cl.codecJobs[k-1] = nil
+		cl.codecJobs = cl.codecJobs[:k-1]
+		return j
+	}
+	return &codecJob{}
+}
+
+// putCodecJob joins j, which may still be running when its proc was killed
+// mid-charge, and returns it to the pool without its buffer references.
+func (cl *Cluster) putCodecJob(j *codecJob) {
+	j.Join()
+	j.dst, j.src, j.bc, j.err = nil, nil, nil, nil
+	cl.codecJobs = append(cl.codecJobs, j)
 }
 
 // stagePublish applies chunks to the public area in log order, buffering

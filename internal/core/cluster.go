@@ -34,6 +34,11 @@ type Cluster struct {
 	clients []*Attachment // by slot
 	nAttach int
 	started bool
+
+	// codecJobs is the freelist of offloaded LZW jobs shared by every
+	// compression stage and mirror, so codec state follows the jobs in
+	// flight rather than the number of clients.
+	codecJobs []*codecJob
 }
 
 // NewCluster builds and formats a LineFS cluster. Call Start before

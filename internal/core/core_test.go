@@ -376,6 +376,76 @@ func TestCompressionModePreservesData(t *testing.T) {
 	})
 }
 
+// TestNICCrashJoinsInFlightCodecJobs crashes a SmartNIC while one of its
+// procs is paying the NIC charge for an LZW job running on a host worker:
+// a compression on the primary, then a batch-frame decode on the mirrors.
+// The killed procs must join their jobs as they unwind, so every job ends
+// joined and back in the pool, and Shutdown drains cleanly.
+func TestNICCrashJoinsInFlightCodecJobs(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name   string
+		decode bool  // wait for a mirror decode instead of a compression
+		crash  []int // NICs to crash once such a job is in flight
+	}{
+		{"compress", false, []int{0}},
+		{"decode", true, []int{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := testConfig()
+			cfg.Compress = true
+			env, cl := newTestCluster(t, cfg)
+			// Seed the pool so the test can watch every job the run uses.
+			jobs := make([]*codecJob, 64)
+			for i := range jobs {
+				jobs[i] = &codecJob{}
+			}
+			cl.codecJobs = append(cl.codecJobs, jobs...)
+			inFlight := func() bool {
+				for _, j := range jobs {
+					if j.Pending() && (j.bc != nil) == tc.decode {
+						return true
+					}
+				}
+				return false
+			}
+			payload := bytes.Repeat([]byte("0000000000abc"), 400000)
+			crashed := false
+			run(t, env, 60*time.Second, func(p *sim.Proc) {
+				l, _ := cl.Attach(p, 0)
+				fd, _ := l.Create(p, "/inflight")
+				env.Go("writer", func(wp *sim.Proc) {
+					l.WriteAt(wp, fd, 0, payload)
+					l.Fsync(wp, fd)
+				})
+				for i := 0; i < 200000 && !crashed; i++ {
+					p.Sleep(10 * time.Microsecond)
+					if inFlight() {
+						for _, mi := range tc.crash {
+							cl.NICs[mi].Crash()
+						}
+						crashed = true
+					}
+				}
+				p.Sleep(100 * time.Millisecond)
+			})
+			if !crashed {
+				t.Fatal("no codec job was ever in flight; nothing was crashed")
+			}
+			env.Shutdown()
+			for i, j := range jobs {
+				if j.Pending() {
+					t.Fatalf("job %d still pending after Shutdown", i)
+				}
+			}
+			if len(cl.codecJobs) < len(jobs) {
+				t.Fatalf("%d of %d codec jobs never returned to the pool", len(jobs)-len(cl.codecJobs), len(jobs))
+			}
+		})
+	}
+}
+
 func TestHostCrashIsolatedModeKeepsChainAlive(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()

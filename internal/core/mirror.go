@@ -38,8 +38,8 @@ type mirrorState struct {
 	// the first arriving chunk's offset instead of expecting offset zero.
 	fresh bool
 
-	// dec is the decompression dictionary, reused across chunks.
-	dec compress.Decoder
+	// jobs holds the decode jobs of the batch handleBatch is processing.
+	jobs []*codecJob
 
 	// bufs is the mirror's raw-buffer freelist: incoming payloads are
 	// always copied (or decompressed) into a mirror-owned buffer, never
@@ -333,7 +333,9 @@ func decodeBatchChunk(dec *compress.Decoder, dst []byte, bc *batchChunk) error {
 // every frame into one contiguous mirror buffer, forward down the chain (in
 // parallel with the local copy), persist the range into the local PM log
 // mirror, send one cumulative ack for To, and publish locally in the
-// background.
+// background. Every compressed frame's decode starts on a host worker up
+// front; each is joined after its decompression charge, before its bytes
+// are verified.
 func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 	n := ms.n
 	cl := n.cl
@@ -341,37 +343,64 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 		return
 	}
 	raw := ms.getBuf(int(rb.To - rb.From))
+	defer ms.releaseJobs()
+	reject := func() {
+		ms.releaseJobs()
+		ms.putBuf(raw)
+	}
+	// Check the framing, and start every compressed frame's decode so the
+	// decodes overlap the charges below.
 	off := 0
 	at := rb.From
-	allRaw := true
 	for i := range rb.Chunks {
 		bc := &rb.Chunks[i]
 		if bc.From != at || uint64(bc.RawLen) != bc.To-bc.From {
-			ms.putBuf(raw)
+			reject()
 			return // malformed framing: never acknowledged
 		}
-		if err := decodeBatchChunk(&ms.dec, raw[off:off+bc.RawLen:off+bc.RawLen], bc); err != nil {
-			ms.putBuf(raw)
+		if bc.Compressed {
+			j := cl.getCodecJob()
+			j.startDecode(raw[off:off+bc.RawLen:off+bc.RawLen], bc)
+			ms.jobs = append(ms.jobs, j)
+		}
+		off += bc.RawLen
+		at = bc.To
+	}
+	off = 0
+	allRaw := true
+	next := 0 // ms.jobs index of the next compressed frame
+	for i := range rb.Chunks {
+		bc := &rb.Chunks[i]
+		frame := raw[off : off+bc.RawLen : off+bc.RawLen]
+		off += bc.RawLen
+		if bc.Compressed {
+			// Decompression on the wimpy cores (reads are cheaper than the
+			// compression side; charge at 2x the compression bandwidth). A
+			// NIC cannot tell a corrupt frame until it has decompressed it.
+			allRaw = false
+			n.nicCompute(p, time.Duration(float64(bc.RawLen)/(2*cl.Cfg.Spec.CompressBW)*float64(time.Second)))
+			j := ms.jobs[next]
+			next++
+			j.Join()
+			if j.err != nil {
+				reject()
+				return // corrupt transfer: never acknowledged
+			}
+		} else if err := decodeBatchChunk(nil, frame, bc); err != nil {
+			reject()
 			return // corrupt transfer: never acknowledged
 		}
 		// Per-frame integrity gate: a frame corrupted in flight must be
 		// rejected before it is forwarded, persisted, or acknowledged — the
 		// primary's retransmit layer resends it; an ack here would mark
 		// garbage durable.
-		if err := fs.VerifyWire(raw[off : off+bc.RawLen]); err != nil {
+		if err := fs.VerifyWire(frame); err != nil {
 			n.cl.Robust.CRCRejected++
-			ms.putBuf(raw)
+			reject()
 			return
 		}
-		if bc.Compressed {
-			// Decompression on the wimpy cores (reads are cheaper than the
-			// compression side; charge at 2x the compression bandwidth).
-			allRaw = false
-			n.nicCompute(p, time.Duration(float64(bc.RawLen)/(2*cl.Cfg.Spec.CompressBW)*float64(time.Second)))
-		}
-		off += bc.RawLen
-		at = bc.To
 	}
+	ms.releaseJobs()
 
 	for i := range rb.Chunks {
 		n.recordHistory(rb.Epoch, rb.Chunks[i].Touched)
@@ -413,6 +442,16 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 		&replAck{Slot: rb.Slot, To: rb.To, Node: n.Name()}, 24)
 
 	ms.pubQ.Put(p, pubJob{raw: raw, from: rb.From, to: rb.To, hold: hold})
+}
+
+// releaseJobs joins the batch's decode jobs, including those of frames a
+// rejection skipped or a kill interrupted, and returns them to the pool.
+func (ms *mirrorState) releaseJobs() {
+	for i, j := range ms.jobs {
+		ms.n.cl.putCodecJob(j)
+		ms.jobs[i] = nil
+	}
+	ms.jobs = ms.jobs[:0]
 }
 
 func batchRawLen(rb *replChunkBatch) int {

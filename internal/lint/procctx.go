@@ -13,7 +13,9 @@ import (
 // one goroutine is runnable; host-level concurrency there either deadlocks
 // the handoff protocol or reintroduces scheduler nondeterminism. Blocking,
 // signalling, and queuing must go through the Env/Proc primitives (Sleep,
-// Wait, Event, Queue, Resource).
+// Wait, Event, Queue, Resource). Real host work that should not stall the
+// event loop goes through the kernel's offload primitive (sim.Start, then
+// Offload.Join after the proc's modelled charge), never a raw `go`.
 //
 // The kernel itself (internal/sim) implements those primitives and is
 // exempt.

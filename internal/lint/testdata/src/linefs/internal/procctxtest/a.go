@@ -52,3 +52,21 @@ func cooperative(p *sim.Proc, env *sim.Env) {
 	env.Go("peer", func(q *sim.Proc) { ev.Trigger(nil) })
 	p.Wait(ev)
 }
+
+// codecJob is host work handed to the offload pool.
+type codecJob struct {
+	sim.Offload
+	out int
+}
+
+func (j *codecJob) Run() { j.out = 1 }
+
+// offloaded runs host work through the sanctioned primitive: Start and
+// Join are kernel calls, not host concurrency in the proc body.
+func offloaded(p *sim.Proc, j *codecJob) int {
+	sim.Start(j)
+	defer j.Join()
+	p.Sleep(0)
+	go j.Run() // want `raw goroutine inside a sim-process callback`
+	return j.out
+}

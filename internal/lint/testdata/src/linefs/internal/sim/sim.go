@@ -52,3 +52,15 @@ func (q *Queue) Put(p *Proc, v any) {}
 
 // Get dequeues.
 func (q *Queue) Get(p *Proc) any { return nil }
+
+// Job is the stub offloaded host computation.
+type Job interface{ Run() }
+
+// Offload is the stub hand-off state a job embeds.
+type Offload struct{}
+
+// Join waits for the job.
+func (o *Offload) Join() {}
+
+// Start hands a job to a host worker.
+func Start(j Job) {}
